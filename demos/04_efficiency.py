@@ -6,7 +6,8 @@
 2. Cost scaling: on a near-square periods-by-phase grid both branch
    widths grow like sqrt(L), and a log-log fit of per-layer work confirms
    the exponent.
-3. Memory: the tape counts its own live bytes deterministically.
+3. Memory: the tape's own byte counter, the cumulative bytes of the
+   arrays it has seen (not a true peak, and not repeatable to the byte).
 
 Shapes here are trimmed so the script finishes in about a minute; pass
 --full for the benchmark-protocol sizes (d_m=128, batch=32, L up to 1440).

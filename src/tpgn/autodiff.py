@@ -12,9 +12,12 @@ pair; operations record a tape node whenever at least one operand is
 tracked, and stay plain numpy otherwise.  That split keeps data
 preparation off the tape for free.
 
-The tape also keeps a deterministic byte counter (every distinct array it
-retains, plus gradient buffers) which the benchmark harness reports as
-peak live tensor bytes.
+The tape also keeps a byte counter, which the benchmark harness reports
+as ``peak_bytes``.  It is neither a peak nor deterministic: it sums the
+bytes of every array the tape has seen (plus gradient buffers), never
+decreases, counts a reshape view again on top of its base, and keys
+arrays by ``id()``, which CPython reuses after garbage collection, so
+identical steps can report different totals.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ __all__ = [
     "sigmoid",
     "tanh",
     "concat",
-    "pad_front",
     "reduce_sum",
     "reduce_mean",
     "reshape",
     "permute",
     "slice_rows",
-    "sliding_windows",
+    "causal_windows",
     "linear",
     "lerp",
     "repeat_rows",
@@ -371,22 +373,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _emit("concat", ts, value, vjp)
 
 
-def pad_front(a, count: int) -> Tensor:
-    """Prepend ``count`` zero rows along the first axis."""
-    a = _as_tensor(a)
-    if a.data.ndim not in (1, 2):
-        raise DimensionError(f"pad_front expects rank 1 or 2, got {a.shape}")
-    if count < 0:
-        raise ContractError(f"pad_front count must be >= 0, got {count}")
-    zeros = np.zeros((count,) + a.shape[1:], dtype=np.float64)
-    value = np.concatenate([zeros, a.data], axis=0)
-
-    def vjp(g):
-        return (g[count:],)
-
-    return _emit("pad_front", (a,), value, vjp)
-
-
 def _reduce(op: str, a, axis: int | None) -> Tensor:
     a = _as_tensor(a)
     if axis is not None and not -a.data.ndim <= axis < a.data.ndim:
@@ -466,34 +452,31 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _emit("slice_rows", (a,), value, vjp)
 
 
-def sliding_windows(a, width: int, count: int | None = None) -> Tensor:
-    """Stack flattened length-``width`` row windows of a [n, c] tensor.
+def causal_windows(a) -> Tensor:
+    """History windows of M stacked sequences: [M, L, c] -> [M*L, (L-1)*c].
 
-    Row t of the result is rows [t, t+width) of ``a`` flattened row-major
-    (time-major, channels within a step), giving shape [count, width*c].
+    Row m*L + t holds steps t-L+1 .. t-1 of sequence m (the L-1 steps
+    strictly before t), oldest first with channels contiguous per step;
+    steps before 0 read as zeros.
     """
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"sliding_windows expects rank 2, got {a.shape}")
-    n, c = a.shape
-    if not 1 <= width <= n:
-        raise DimensionError(f"window width {width} invalid for {n} rows")
-    max_count = n - width + 1
-    if count is None:
-        count = max_count
-    if not 1 <= count <= max_count:
-        raise DimensionError(f"window count {count} invalid (max {max_count})")
-    view = np.lib.stride_tricks.sliding_window_view(a.data, width, axis=0)
-    value = np.ascontiguousarray(view[:count].transpose(0, 2, 1)).reshape(count, width * c)
+    if a.data.ndim != 3 or a.shape[1] < 2:
+        raise DimensionError(f"causal_windows expects [M, L >= 2, c], got {a.shape}")
+    m, length, c = a.shape
+    width = length - 1
+    padded = np.concatenate([np.zeros((m, width, c)), a.data], axis=1)
+    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
+    value = np.ascontiguousarray(view[:, :length].transpose(0, 1, 3, 2)).reshape(
+        m * length, width * c)
 
     def vjp(g):
-        g3 = g.reshape(count, width, c)
-        out = np.zeros((n, c), dtype=np.float64)
-        for j in range(width):
-            out[j:j + count] += g3[:, j, :]
-        return (out,)
+        g4 = g.reshape(m, length, width, c)
+        out = np.zeros((m, width + length, c), dtype=np.float64)
+        for j in range(width):  # window slot j of step t reads padded step t+j
+            out[:, j:j + length] += g4[:, :, j, :]
+        return (out[:, width:],)
 
-    return _emit("sliding_windows", (a,), value, vjp)
+    return _emit("causal_windows", (a,), value, vjp)
 
 
 def linear(x, w, b) -> Tensor:

@@ -2,12 +2,14 @@
 
 These are the drop-in alternatives for the long-range branch of the
 forecasting model and the sequential reference point for the efficiency
-benchmarks.  The recurrences are the standard formulations; both run a
+benchmarks.  The recurrences are the standard formulations, run as a
 strict step-by-step loop, which is exactly the property the comparisons
 need: their computation-graph depth grows with sequence length.
 
-Step functions take row batches [N, c] x [N, d] -> [N, d] so a whole
-group of independent sequences can advance in lockstep.
+:func:`recurrent_forward` is the one recurrence: it advances M independent
+sequences [M, L, c] in lockstep, one batched cell step per time step.  The
+per-sequence forwards, :func:`sequence_graph_depth`, the model's long
+branch and the benchmark all call it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "mlp_block",
     "gru_step",
     "lstm_step",
+    "recurrent_forward",
     "sequence_graph_depth",
     "gru_macs",
     "lstm_macs",
@@ -198,6 +201,28 @@ def mlp_step(x: Tensor, w: dict[str, Tensor]) -> Tensor:
     return ad.linear(hidden, w["w2"], w["b2"])
 
 
+def recurrent_forward(x: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
+    """Hidden states of M sequences [M, L, c] advanced in lockstep from a
+    zero state by the ``"gru"`` or ``"lstm"`` cell: [M*L, d], rows (m, t)-major."""
+    m, length, c = x.shape
+    d = w["cand_b" if kind == "gru" else "cell_b"].shape[0]
+    h = cell = ad.constant(np.zeros((m, d)))
+    steps = ad.permute(x, (1, 0, 2))  # [L, M, c]
+    states = []
+    for t in range(length):
+        # slice a constant input in numpy: tape ops on it would record
+        # nothing and only add per-step overhead to the timed baselines
+        x_t = (ad.reshape(ad.slice_rows(steps, t, t + 1), (m, c)) if steps.tracked
+               else ad.constant(steps.data[t]))
+        if kind == "gru":
+            h = gru_step(x_t, h, w)
+        else:
+            h, cell = lstm_step(x_t, (h, cell), w)
+        states.append(h)
+    by_step = ad.reshape(ad.concat(states, axis=0), (length, m, d))
+    return ad.reshape(ad.permute(by_step, (1, 0, 2)), (m * length, d))
+
+
 # ---------------------------------------------------------------------------
 # per-sequence forwards
 
@@ -217,26 +242,13 @@ def _prep(x, params, graph):
 def gru_forward_seq(x, params: GruParams, graph: Graph | None = None) -> Tensor:
     """All hidden states [L, hidden] of the strict recurrence, h_0 = 0."""
     xt, w = _prep(x, params, graph)
-    L = xt.shape[0]
-    h = ad.constant(np.zeros((1, params.hidden)))
-    states = []
-    for t in range(L):
-        h = gru_step(ad.slice_rows(xt, t, t + 1), h, w)
-        states.append(h)
-    return ad.concat(states, axis=0)
+    return recurrent_forward(ad.reshape(xt, (1,) + xt.shape), w, "gru")
 
 
 def lstm_forward_seq(x, params: LstmParams, graph: Graph | None = None) -> Tensor:
     """All hidden states [L, hidden], h_0 = c_0 = 0."""
     xt, w = _prep(x, params, graph)
-    L = xt.shape[0]
-    zeros = np.zeros((1, params.hidden))
-    state = (ad.constant(zeros), ad.constant(zeros))
-    states = []
-    for t in range(L):
-        state = lstm_step(ad.slice_rows(xt, t, t + 1), state, w)
-        states.append(state[0])
-    return ad.concat(states, axis=0)
+    return recurrent_forward(ad.reshape(xt, (1,) + xt.shape), w, "lstm")
 
 
 def mlp_block(x, params: MlpParams, graph: Graph | None = None) -> Tensor:

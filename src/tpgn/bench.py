@@ -2,11 +2,13 @@
 
 Each scenario times one training step (tracked forward plus backward) and
 one tracked forward of a model kind at given history/horizon lengths,
-reporting the median over repeats after warmup.  Memory is the tape's own
-deterministic byte counter (peak live tensor bytes), not process RSS, and
-multiply-accumulate counts come from the closed-form cost formulas, so
-only the timings are hardware-dependent.  Scenarios run strictly one at a
-time.
+reporting the median over repeats after warmup.  ``peak_bytes`` is the
+tape's own byte counter, not process RSS: the cumulative bytes of the
+arrays the tape has seen, keyed by ``id()``, so it is neither a peak nor
+repeatable to the byte (identical steps can differ by several percent).
+Multiply-accumulate counts come from the closed-form cost formulas.
+The gated-cell and recurrent scenarios run one call per sequence of the
+batch.  Scenarios run strictly one at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class BenchScenario:
     l_f: int
     d_m: int = 128
     batch: int = 32
-    layers: int = 1
     repeat: int = 5
     warmup: int = 2
     period: int = 24
@@ -58,8 +59,6 @@ class BenchScenario:
             raise ConfigError(f"repeat must be >= 3, got {self.repeat}")
         if self.warmup < 1:
             raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
-        if self.layers != 1:
-            raise ConfigError("only single-layer models are measured")
         if self.l_h < 2 or self.l_f < 1 or self.d_m < 1 or self.batch < 1:
             raise ConfigError("scenario sizes must be positive (l_h >= 2)")
 
@@ -105,69 +104,42 @@ def _tpgn_setup(s: BenchScenario):
     return forward, loss_of, macs, depth
 
 
-def _pgn_setup(s: BenchScenario):
+def _cell_setup(s: BenchScenario):
+    """A bare cell over single-channel sequences, called once per sequence."""
     rng = np.random.default_rng(s.seed)
-    params = PgnParams.init(s.l_h, 1, s.d_m, rng)
-    xs = [rng.uniform(-1, 1, (s.l_h, 1)) for _ in range(s.batch)]
-
-    def forward(graph):
-        w = params.leaf_into(graph)
-        outs = [pgn_apply(ad.constant(x), w, s.l_h).output for x in xs]
-        return ad.concat(outs, axis=0)
-
-    def loss_of(out):
-        return ad.reduce_mean(ad.mul(out, out))
-
-    macs = s.batch * pgn_macs(s.l_h, 1, s.d_m)
-    return forward, loss_of, macs, graph_depth(params)
-
-
-def _seq_setup(s: BenchScenario):
-    rng = np.random.default_rng(s.seed)
-    kind = "gru" if s.model == "GRU-seq" else "lstm"
-    if kind == "gru":
-        params = baselines.GruParams.init(1, s.d_m, rng)
-        macs = s.batch * baselines.gru_macs(s.l_h, 1, s.d_m)
+    kind = {"PGN-raw": "pgn", "GRU-seq": "gru", "LSTM-seq": "lstm"}[s.model]
+    if kind == "pgn":
+        params = PgnParams.init(s.l_h, 1, s.d_m, rng)
+        macs, depth = pgn_macs(s.l_h, 1, s.d_m), graph_depth(params)
     else:
-        params = baselines.LstmParams.init(1, s.d_m, rng)
-        macs = s.batch * baselines.lstm_macs(s.l_h, 1, s.d_m)
+        cls, macs_of = {"gru": (baselines.GruParams, baselines.gru_macs),
+                        "lstm": (baselines.LstmParams, baselines.lstm_macs)}[kind]
+        params = cls.init(1, s.d_m, rng)
+        macs = macs_of(s.l_h, 1, s.d_m)
+        depth = baselines.sequence_graph_depth(params, s.l_h)
+
+    def run(x, w):
+        if kind == "pgn":
+            return pgn_apply(x, w).output
+        return baselines.recurrent_forward(x, w, kind)
+
     xs = [rng.uniform(-1, 1, (s.l_h, 1)) for _ in range(s.batch)]
-    zeros = np.zeros((1, s.d_m))
 
     def forward(graph):
         w = params.leaf_into(graph)
-        outs = []
-        for x in xs:
-            if kind == "gru":
-                h = ad.constant(zeros)
-                states = []
-                for t in range(s.l_h):
-                    h = baselines.gru_step(ad.constant(x[t:t + 1]), h, w)
-                    states.append(h)
-            else:
-                state = (ad.constant(zeros), ad.constant(zeros))
-                states = []
-                for t in range(s.l_h):
-                    state = baselines.lstm_step(ad.constant(x[t:t + 1]), state, w)
-                    states.append(state[0])
-            outs.append(ad.concat(states, axis=0))
-        return ad.concat(outs, axis=0)
+        return ad.concat([run(ad.constant(x[None]), w) for x in xs], axis=0)
 
     def loss_of(out):
         return ad.reduce_mean(ad.mul(out, out))
 
-    return forward, loss_of, macs, baselines.sequence_graph_depth(params, s.l_h)
+    return forward, loss_of, s.batch * macs, depth
 
 
 def run_scenario(s: BenchScenario) -> BenchRecord:
     """Measure one scenario; an out-of-memory failure is recorded, not raised."""
     try:
-        if s.model == "TPGN":
-            forward, loss_of, macs, depth = _tpgn_setup(s)
-        elif s.model == "PGN-raw":
-            forward, loss_of, macs, depth = _pgn_setup(s)
-        else:
-            forward, loss_of, macs, depth = _seq_setup(s)
+        setup = _tpgn_setup if s.model == "TPGN" else _cell_setup
+        forward, loss_of, macs, depth = setup(s)
 
         def train_step() -> ad.Graph:
             graph = ad.Graph()

@@ -22,7 +22,10 @@ transposed and flattened so output index i = r_f*P + p, then
 de-normalized back to original units when normalization is on.
 
 Everything here is pure in (window, params); batched entry points stack
-many windows into the same handful of matrix products.
+many windows into the same handful of matrix products.  There is one
+forward over a grid tensor [B, R, P, c]: training, evaluation and the
+benchmark feed it constant grids, and the depth probe feeds it a tracked
+one.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from . import autodiff as ad
 from . import baselines
 from .autodiff import Graph, Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .pgn import PgnParams
+from .pgn import PgnParams, pgn_apply
 
 __all__ = [
     "SeriesWindow",
     "NormStats",
-    "Grid2D",
     "TpgnVariant",
     "TpgnParams",
     "TpgnConfig",
@@ -57,12 +59,11 @@ __all__ = [
     "flop_count",
     "finite_diff_all_params",
     "tpgn_graph_depth",
-    "tpgn_forward_tracked_grid",
 ]
 
 logger = logging.getLogger(__name__)
 
-SIGMA_FLOOR = 1e-5  # stands in for sigma when a history window is constant
+SIGMA_FLOOR = 1e-5  # smallest sigma a history window is normalized with
 
 
 @dataclass
@@ -114,25 +115,6 @@ class NormStats:
     mu: float
     sigma: float
     norm: int
-
-
-@dataclass
-class Grid2D:
-    """Period-stacked history: element (r, p, ch) is 1-D timestep r*P + p."""
-
-    data: Tensor  # [R, P, c]
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def period(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 _LONG_KINDS = ("pgn", "gru", "lstm", "mlp", "off")
@@ -303,12 +285,13 @@ class TpgnConfig:
 # input preparation
 
 def prepare_input(window: SeriesWindow, norm: int, period: int,
-                  ) -> tuple[Grid2D, NormStats]:
+                  ) -> tuple[np.ndarray, NormStats]:
     """Normalize the history and stack it into the [R, P, c] grid.
 
-    The moments use the population divisor L_h.  A constant history under
-    norm=1 falls back to sigma = SIGMA_FLOOR so the normalized values
-    become zeros; the event is logged.
+    The moments use the population divisor L_h.  Under norm=1 a constant
+    or near-constant history (sigma below SIGMA_FLOOR) is normalized with
+    sigma = SIGMA_FLOOR, so rounding noise stays near zero instead of being
+    blown up to unit scale; the event is logged.
     """
     if norm not in (0, 1):
         raise ConfigError(f"norm must be 0 or 1, got {norm}")
@@ -319,17 +302,16 @@ def prepare_input(window: SeriesWindow, norm: int, period: int,
     mu = float(x.mean())
     sigma = float(np.sqrt(((x - mu) ** 2).mean()))
     if norm == 1:
-        if sigma == 0.0:
-            logger.warning("constant history window; normalizing with sigma=%g",
-                           SIGMA_FLOOR)
+        if sigma < SIGMA_FLOOR:
+            logger.warning("near-constant history window (sigma=%g); normalizing "
+                           "with sigma=%g", sigma, SIGMA_FLOOR)
             sigma = SIGMA_FLOOR
         values = (x - mu) / sigma
     else:
         values = x
     stacked = np.concatenate([values[:, None], window.tf_enc], axis=1)
-    rows = l_h // period
-    grid = stacked.reshape(rows, period, stacked.shape[1])
-    return Grid2D(ad.constant(grid)), NormStats(mu=mu, sigma=sigma, norm=norm)
+    grid = stacked.reshape(l_h // period, period, stacked.shape[1])
+    return grid, NormStats(mu=mu, sigma=sigma, norm=norm)
 
 
 def _grids_and_stats(windows, cfg: TpgnConfig, params: TpgnParams,
@@ -346,89 +328,53 @@ def _grids_and_stats(windows, cfg: TpgnConfig, params: TpgnParams,
                 f"window has {w.c_time} time features, model expects "
                 f"{params.channels - 1}")
         grid, st = prepare_input(w, cfg.norm, cfg.period)
-        grids.append(grid.data.data)
+        grids.append(grid)
         stats.append(st)
     return np.stack(grids), stats
 
 
 # ---------------------------------------------------------------------------
-# branches (batched cores; the per-grid public wrappers sit below)
-
-def _pgn_stack(seqs: np.ndarray, w: dict[str, Tensor]) -> Tensor:
-    """Gated-cell forward over M stacked sequences [M, R, c] -> [M*R, d]."""
-    m, rows, c = seqs.shape
-    width = rows - 1
-    padded = np.concatenate([np.zeros((m, width, c)), seqs], axis=1)
-    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    windows = np.ascontiguousarray(
-        view[:, :rows].transpose(0, 1, 3, 2)).reshape(m * rows, width * c)
-    x_all = ad.constant(seqs.reshape(m * rows, c))
-    history = ad.linear(ad.constant(windows), w["pgn.hie_w"], w["pgn.hie_b"])
-    joint = ad.concat([x_all, history], axis=1)
-    gate = ad.sigmoid(ad.linear(joint, w["pgn.gate_w"], w["pgn.gate_b"]))
-    cand = ad.tanh(ad.linear(joint, w["pgn.cand_w"], w["pgn.cand_b"]))
-    return ad.lerp(gate, history, cand)
-
-
-def _recurrent_stack(seqs: np.ndarray, w: dict[str, Tensor], kind: str,
-                     hidden: int) -> Tensor:
-    """Sequential cell over M stacked sequences; steps advance all M rows."""
-    m, rows, _ = seqs.shape
-    if kind == "gru":
-        state = ad.constant(np.zeros((m, hidden)))
-        outs = []
-        for r in range(rows):
-            state = baselines.gru_step(ad.constant(seqs[:, r, :]), state, w)
-            outs.append(state)
-    else:
-        zeros = np.zeros((m, hidden))
-        state = (ad.constant(zeros), ad.constant(zeros))
-        outs = []
-        for r in range(rows):
-            state = baselines.lstm_step(ad.constant(seqs[:, r, :]), state, w)
-            outs.append(state[0])
-    stacked = ad.concat(outs, axis=0)  # r-major [rows*m, d]
-    ordered = ad.permute(ad.reshape(stacked, (rows, m, hidden)), (1, 0, 2))
-    return ad.reshape(ordered, (m * rows, hidden))
-
+# branches (batched cores over a grid tensor [B, R, P, c]; the per-grid
+# public wrappers sit below).  The grid is constant for forecasting and a
+# tracked leaf for depth probing; on a constant grid the reshapes and
+# permutes that regroup it record nothing.
 
 def _cell_keys(w: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     cut = len(prefix)
     return {k[cut:]: v for k, v in w.items() if k.startswith(prefix)}
 
 
-def _long_branch_batch(grids: np.ndarray, w: dict[str, Tensor],
-                       params: TpgnParams, kind: str) -> Tensor:
+def _collapse_rows(x: Tensor, groups: int, rows: int, weight: Tensor,
+                   bias: Tensor) -> Tensor:
+    """Weighted sum over the R axis: x [groups*R, d], rows group-major ->
+    [groups, d], one matmul for every group and channel."""
+    d = x.shape[1]
+    by_step = ad.permute(ad.reshape(x, (groups, rows, d)), (1, 0, 2))
+    flat = ad.reshape(by_step, (rows, groups * d))
+    agg = ad.matmul(ad.reshape(weight, (1, rows)), flat)
+    return ad.add(ad.reshape(agg, (groups, d)), bias)
+
+
+def _long_branch_batch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """[B, R, P, c] -> column summaries [B*P, hidden], rows (b, p)-major."""
-    b, rows, period, c = grids.shape
-    d = params.hidden
-    seqs = np.ascontiguousarray(grids.transpose(0, 2, 1, 3)).reshape(
-        b * period, rows, c)
+    b, rows, period, c = grid.shape
+    seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
     if kind == "pgn":
-        out_all = _pgn_stack(seqs, w)
+        out_all = pgn_apply(seqs, _cell_keys(w, "pgn.")).output
     elif kind == "mlp":
-        out_all = baselines.mlp_step(ad.constant(seqs.reshape(-1, c)),
+        out_all = baselines.mlp_step(ad.reshape(seqs, (b * period * rows, c)),
                                      _cell_keys(w, "cell."))
     else:
-        out_all = _recurrent_stack(seqs, _cell_keys(w, "cell."), kind, d)
-    # weighted sum over the R axis, one matmul for every (b, p, channel)
-    by_step = ad.permute(ad.reshape(out_all, (b * period, rows, d)), (1, 0, 2))
-    flat = ad.reshape(by_step, (rows, b * period * d))
-    agg = ad.matmul(ad.reshape(w["long_w"], (1, rows)), flat)
-    return ad.add(ad.reshape(agg, (b * period, d)), w["long_b"])
+        out_all = baselines.recurrent_forward(seqs, _cell_keys(w, "cell."), kind)
+    return _collapse_rows(out_all, b * period, rows, w["long_w"], w["long_b"])
 
 
-def _short_branch_batch(grids: np.ndarray, w: dict[str, Tensor],
-                        params: TpgnParams) -> Tensor:
+def _short_branch_batch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
     """[B, R, P, c] -> repeated global summaries [B*P, hidden]."""
-    b, rows, period, c = grids.shape
-    d = params.hidden
-    rows_flat = ad.constant(grids.reshape(b * rows, period * c))
+    b, rows, period, c = grid.shape
+    rows_flat = ad.reshape(grid, (b * rows, period * c))
     patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
-    by_step = ad.permute(ad.reshape(patches, (b, rows, d)), (1, 0, 2))
-    flat = ad.reshape(by_step, (rows, b * d))
-    agg = ad.matmul(ad.reshape(w["col_w"], (1, rows)), flat)
-    global_vec = ad.add(ad.reshape(agg, (b, d)), w["col_b"])
+    global_vec = _collapse_rows(patches, b, rows, w["col_w"], w["col_b"])
     return ad.repeat_rows(global_vec, period)
 
 
@@ -463,18 +409,19 @@ def _head_batch(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
     return out
 
 
-def _forward_core(grids: np.ndarray, stats: list[NormStats],
+def _forward_core(grid: Tensor, stats: list[NormStats],
                   w: dict[str, Tensor], params: TpgnParams,
                   cfg: TpgnConfig) -> Tensor:
-    batch, rows, period, _ = grids.shape
+    """The model forward: grid [B, R, P, c] -> predictions [B, L_f]."""
+    batch, _, period, _ = grid.shape
     d = params.hidden
     kind = cfg.variant.long_branch
     if kind != "off":
-        h_long = _long_branch_batch(grids, w, params, kind)
+        h_long = _long_branch_batch(grid, w, kind)
     else:
         h_long = ad.constant(np.zeros((batch * period, d)))
     if cfg.variant.short_branch:
-        h_rep = _short_branch_batch(grids, w, params)
+        h_rep = _short_branch_batch(grid, w)
     else:
         h_rep = ad.constant(np.zeros((batch * period, d)))
     return _head_batch(h_long, h_rep, w, params, stats, cfg.norm, batch)
@@ -483,35 +430,30 @@ def _forward_core(grids: np.ndarray, stats: list[NormStats],
 # ---------------------------------------------------------------------------
 # public operations
 
-def _weights_or_constants(params: TpgnParams, weights) -> dict[str, Tensor]:
-    return params.constants() if weights is None else weights
-
-
-def _check_grid(grid: Grid2D, params: TpgnParams) -> None:
-    if (grid.rows, grid.period, grid.channels) != (
-            params.rows, params.period, params.channels):
+def _check_grid(grid: np.ndarray, params: TpgnParams) -> None:
+    if grid.shape != (params.rows, params.period, params.channels):
         raise DimensionError(
-            f"grid shape {grid.data.shape} does not match the model structure "
+            f"grid shape {grid.shape} does not match the model structure "
             f"({params.rows}, {params.period}, {params.channels})")
 
 
-def long_branch(grid: Grid2D, params: TpgnParams,
+def long_branch(grid: np.ndarray, params: TpgnParams,
                 weights: dict[str, Tensor] | None = None) -> Tensor:
     """Column summaries [P, hidden] of one grid (gated-cell long branch)."""
     params.validate()
     _check_grid(grid, params)
-    w = _weights_or_constants(params, weights)
-    out = _long_branch_batch(grid.data.data[None], w, params, "pgn")
+    w = params.constants() if weights is None else weights
+    out = _long_branch_batch(ad.constant(grid[None]), w, "pgn")
     return ad.reshape(out, (params.period, params.hidden))
 
 
-def short_branch(grid: Grid2D, params: TpgnParams,
+def short_branch(grid: np.ndarray, params: TpgnParams,
                  weights: dict[str, Tensor] | None = None) -> Tensor:
     """Global patch summary of one grid, repeated per column: [P, hidden]."""
     params.validate()
     _check_grid(grid, params)
-    w = _weights_or_constants(params, weights)
-    out = _short_branch_batch(grid.data.data[None], w, params)
+    w = params.constants() if weights is None else weights
+    out = _short_branch_batch(ad.constant(grid[None]), w)
     return ad.reshape(out, (params.period, params.hidden))
 
 
@@ -526,9 +468,22 @@ def forecast_head(h_long: Tensor, h_global_rep: Tensor, params: TpgnParams,
             f"({params.period}, {params.hidden})")
     if h_global_rep.shape != h_long.shape:
         raise ConfigError("branch outputs disagree in shape")
-    w = _weights_or_constants(params, weights)
+    w = params.constants() if weights is None else weights
     out = _head_batch(h_long, h_global_rep, w, params, [stats], stats.norm, 1)
     return ad.reshape(out, (params.l_f,))
+
+
+def _check_model(params: TpgnParams, cfg: TpgnConfig) -> None:
+    params.validate()
+    if cfg.period != params.period:
+        raise ConfigError(
+            f"config period {cfg.period} does not match model period {params.period}")
+    kind = cfg.variant.long_branch
+    if kind in ("gru", "lstm", "mlp"):
+        wanted = {"gru": baselines.GruParams, "lstm": baselines.LstmParams,
+                  "mlp": baselines.MlpParams}[kind]
+        if not isinstance(params.cell, wanted):
+            raise ConfigError(f"variant {kind!r} needs matching cell parameters")
 
 
 def tpgn_forward(window: SeriesWindow, params: TpgnParams, cfg: TpgnConfig,
@@ -547,19 +502,10 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
     """
     if not windows:
         raise ContractError("empty window batch")
-    params.validate()
-    if cfg.period != params.period:
-        raise ConfigError(
-            f"config period {cfg.period} does not match model period {params.period}")
-    kind = cfg.variant.long_branch
-    if kind in ("gru", "lstm", "mlp"):
-        wanted = {"gru": baselines.GruParams, "lstm": baselines.LstmParams,
-                  "mlp": baselines.MlpParams}[kind]
-        if not isinstance(params.cell, wanted):
-            raise ConfigError(f"variant {kind!r} needs matching cell parameters")
-    w = _weights_or_constants(params, weights)
+    _check_model(params, cfg)
+    w = params.constants() if weights is None else weights
     grids, stats = _grids_and_stats(windows, cfg, params)
-    return _forward_core(grids, stats, w, params, cfg)
+    return _forward_core(ad.constant(grids), stats, w, params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -631,58 +577,20 @@ def flop_count(params: TpgnParams, l_h: int, l_f: int,
 # ---------------------------------------------------------------------------
 # structural depth
 
-def tpgn_forward_tracked_grid(grid: Tensor, stats: NormStats,
-                              w: dict[str, Tensor], params: TpgnParams,
-                              cfg: TpgnConfig) -> Tensor:
-    """Forward of one prepared grid built from tape ops end to end.
-
-    Unlike the batched fast path, which feeds the grid in as constants,
-    this keeps the grid itself on the tape so the input-to-output path
-    length can be measured (and the fast path cross-checked).  Only the
-    gated-cell long branch is supported.
-    """
-    from .pgn import pgn_apply  # local to avoid an import cycle at load
-
-    rows, period, c = params.rows, params.period, params.channels
-    d = params.hidden
-    cols = ad.permute(grid, (1, 0, 2))  # [P, R, c]
-    if cfg.variant.long_branch == "pgn":
-        pgn_w = {k[len("pgn."):]: v for k, v in w.items() if k.startswith("pgn.")}
-        outs = []
-        for p in range(period):
-            col = ad.reshape(ad.slice_rows(cols, p, p + 1), (rows, c))
-            outs.append(pgn_apply(col, pgn_w, rows).output)
-        out_all = ad.concat(outs, axis=0)  # [P*R, d], (p, r)-major
-        by_step = ad.permute(ad.reshape(out_all, (period, rows, d)), (1, 0, 2))
-        flat = ad.reshape(by_step, (rows, period * d))
-        agg = ad.matmul(ad.reshape(w["long_w"], (1, rows)), flat)
-        h_long = ad.add(ad.reshape(agg, (period, d)), w["long_b"])
-    elif cfg.variant.long_branch == "off":
-        h_long = ad.constant(np.zeros((period, d)))
-    else:
-        raise ContractError("tracked-grid forward supports the gated cell only")
-    if cfg.variant.short_branch:
-        rows_flat = ad.reshape(grid, (rows, period * c))
-        patches = ad.linear(rows_flat, w["row_w"], w["row_b"])
-        hg = ad.matmul(ad.reshape(w["col_w"], (1, rows)), patches)
-        h_rep = ad.repeat_rows(ad.add(hg, w["col_b"]), period)
-    else:
-        h_rep = ad.constant(np.zeros((period, d)))
-    out = _head_batch(h_long, h_rep, w, params, [stats], cfg.norm, 1)
-    return ad.reshape(out, (params.l_f,))
-
-
 def tpgn_graph_depth(params: TpgnParams, cfg: TpgnConfig | None = None) -> int:
-    """Longest op chain from the prepared input grid to the forecast."""
+    """Longest op chain from the prepared input grid to the forecast.
+
+    Runs the model forward on a tracked one-window grid, so the path is
+    measured on the same code that forecasts.
+    """
     if cfg is None:
         cfg = TpgnConfig(norm=0, period=params.period)
-    params.validate()
+    _check_model(params, cfg)
     graph = Graph()
-    grid = graph.leaf(np.zeros((params.rows, params.period, params.channels)),
+    grid = graph.leaf(np.zeros((1, params.rows, params.period, params.channels)),
                       op="input")
     w = params.leaf_into(graph)
-    out = tpgn_forward_tracked_grid(grid, NormStats(0.0, 1.0, cfg.norm), w,
-                                    params, cfg)
+    out = _forward_core(grid, [NormStats(0.0, 1.0, cfg.norm)], w, params, cfg)
     return graph.longest_path(grid.node_id, out.node_id)
 
 

@@ -12,7 +12,10 @@ The history summary looks at exactly the L-1 steps strictly before t
 (oldest first), taken from a zero-padded prefix, so no step depends on any
 other step's result: the whole sequence is one window-stacking, three
 affine maps and a gate, and the computation-graph depth from input to
-output does not grow with L.
+output does not grow with L.  :func:`pgn_apply` is the one implementation:
+it runs M independent sequences [M, L, c] through the same weights at
+once, and :func:`pgn_forward`, the model's long branch and the benchmark
+all call it.
 
 Window flattening is time-major with channels contiguous per step, and
 the gate concatenation puts the c input channels before the hidden state,
@@ -33,7 +36,7 @@ from .errors import ContractError, DimensionError
 __all__ = [
     "PgnParams",
     "PgnOutput",
-    "hie_forward",
+    "pgn_apply",
     "pgn_forward",
     "pgn_forward_oracle",
     "graph_depth",
@@ -96,8 +99,7 @@ class PgnParams:
 
     def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
         """Track every weight on ``graph``; keys match the field names."""
-        names = ("hie_w", "hie_b", "gate_w", "gate_b", "cand_w", "cand_b")
-        return {n: graph.leaf(getattr(self, n)) for n in names}
+        return {n: graph.leaf(a) for n, a in self.named_arrays().items()}
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         names = ("hie_w", "hie_b", "gate_w", "gate_b", "cand_w", "cand_b")
@@ -108,10 +110,10 @@ class PgnParams:
 class PgnOutput:
     """Per-step activations: history summary, gate, candidate and fusion."""
 
-    history: Tensor    # [L, hidden]
-    gate: Tensor       # [L, hidden], entries in (0, 1)
-    candidate: Tensor  # [L, hidden], entries in (-1, 1)
-    output: Tensor     # [L, hidden] = gate*history + (1-gate)*candidate
+    history: Tensor    # [M*L, hidden]
+    gate: Tensor       # [M*L, hidden], entries in (0, 1)
+    candidate: Tensor  # [M*L, hidden], entries in (-1, 1)
+    output: Tensor     # [M*L, hidden] = gate*history + (1-gate)*candidate
 
 
 def _check_input(x: np.ndarray, params: PgnParams) -> None:
@@ -124,35 +126,22 @@ def _check_input(x: np.ndarray, params: PgnParams) -> None:
         raise ContractError("input contains non-finite entries")
 
 
-def hie_apply(x: Tensor, w: dict[str, Tensor], seq_len: int) -> Tensor:
-    """History summaries for a tracked/constant input of shape [L, c]."""
-    padded = ad.pad_front(x, seq_len - 1)
-    windows = ad.sliding_windows(padded, seq_len - 1, count=seq_len)
-    return ad.linear(windows, w["hie_w"], w["hie_b"])
+def pgn_apply(x: Tensor, w: dict[str, Tensor]) -> PgnOutput:
+    """Cell forward over M stacked sequences [M, L, c], tracked or constant.
 
-
-def pgn_apply(x: Tensor, w: dict[str, Tensor], seq_len: int) -> PgnOutput:
-    """Cell forward on already-materialized tensors (tracked or constant)."""
-    history = hie_apply(x, w, seq_len)
-    joint = ad.concat([x, history], axis=1)
+    Every field of the result is [M*L, hidden] with rows (m, t)-major.
+    """
+    m, length, c = x.shape
+    history = ad.linear(ad.causal_windows(x), w["hie_w"], w["hie_b"])
+    joint = ad.concat([ad.reshape(x, (m * length, c)), history], axis=1)
     gate = ad.sigmoid(ad.linear(joint, w["gate_w"], w["gate_b"]))
     candidate = ad.tanh(ad.linear(joint, w["cand_w"], w["cand_b"]))
     output = ad.lerp(gate, history, candidate)
     return PgnOutput(history=history, gate=gate, candidate=candidate, output=output)
 
 
-def hie_forward(x, params: PgnParams, graph: Graph | None = None) -> Tensor:
-    """History summaries [L, hidden]; step t sees only steps before t."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params)
-    if graph is None:
-        return hie_apply(ad.constant(x), {k: ad.constant(v) for k, v in
-                                          params.named_arrays().items()}, params.seq_len)
-    return hie_apply(graph.leaf(x, op="input"), params.leaf_into(graph), params.seq_len)
-
-
 def pgn_forward(x, params: PgnParams, graph: Graph | None = None) -> PgnOutput:
-    """Full cell forward.
+    """Full cell forward of one sequence [L, c]; every field is [L, hidden].
 
     With ``graph`` given, the input and every weight become tracked leaves
     so gradients and path lengths can be read off afterwards; without it
@@ -162,8 +151,8 @@ def pgn_forward(x, params: PgnParams, graph: Graph | None = None) -> PgnOutput:
     _check_input(x, params)
     if graph is None:
         w = {k: ad.constant(v) for k, v in params.named_arrays().items()}
-        return pgn_apply(ad.constant(x), w, params.seq_len)
-    return pgn_apply(graph.leaf(x, op="input"), params.leaf_into(graph), params.seq_len)
+        return pgn_apply(ad.constant(x[None]), w)
+    return pgn_apply(graph.leaf(x[None], op="input"), params.leaf_into(graph))
 
 
 def pgn_forward_oracle(x, params: PgnParams) -> PgnOutput:
@@ -216,6 +205,6 @@ def graph_depth(params: PgnParams, x=None) -> int:
     if x is None:
         x = np.zeros((params.seq_len, params.in_channels))
     graph = Graph()
-    xt = graph.leaf(np.asarray(x, dtype=np.float64), op="input")
-    out = pgn_apply(xt, params.leaf_into(graph), params.seq_len)
+    xt = graph.leaf(np.asarray(x, dtype=np.float64)[None], op="input")
+    out = pgn_apply(xt, params.leaf_into(graph))
     return graph.longest_path(xt.node_id, out.output.node_id)

@@ -11,6 +11,7 @@ norm=0 and norm=1 runs are directly comparable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -166,32 +167,60 @@ class Checkpoint:
             lines = [f"{k}={v}" for k, v in sorted(self.config.items())]
             lines.append(f"best_val_loss={self.best_val_loss!r}")
             lines.append(f"epoch={self.epoch}")
-            fh.write("\n".join(lines).encode("utf-8"))
+            # the final newline marks a complete file: truncation is detectable
+            fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a checkpoint; a truncated or corrupt file raises ConfigError.
+
+        Every declared length is checked against the bytes left in the file
+        before it is used, so a corrupt size never drives a read or an
+        allocation.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ConfigError(f"{path} is not a checkpoint (bad magic {magic!r})")
-            tensors: dict[str, np.ndarray] = {}
-            while True:
-                name_len = int.from_bytes(fh.read(8), "little")
-                if name_len == 0:
-                    break
-                name = fh.read(name_len).decode("utf-8")
-                rank = int.from_bytes(fh.read(8), "little")
-                shape = tuple(int.from_bytes(fh.read(8), "little") for _ in range(rank))
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-                payload = fh.read(count * 8)
+            raw = fh.read()
+        magic = raw[:len(CHECKPOINT_MAGIC)]
+        if magic != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path} is not a checkpoint (bad magic {magic!r})")
+        pos = len(CHECKPOINT_MAGIC)
+
+        def take(size: int, what: str) -> bytes:
+            nonlocal pos
+            if size > len(raw) - pos:
+                raise ConfigError(f"{path} is truncated or corrupt: {what} needs "
+                                  f"{size} bytes, {len(raw) - pos} left")
+            pos += size
+            return raw[pos - size:pos]
+
+        tensors: dict[str, np.ndarray] = {}
+        try:
+            while name_len := int.from_bytes(take(8, "a tensor name length"), "little"):
+                name = take(name_len, "a tensor name").decode("utf-8")
+                rank = int.from_bytes(take(8, f"the rank of {name}"), "little")
+                dims = take(8 * rank, f"the shape of {name}")
+                shape = tuple(int(n) for n in np.frombuffer(dims, dtype="<u8"))
+                payload = take(8 * math.prod(shape), f"the values of {name}")
                 tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            config: dict[str, str] = {}
-            for line in fh.read().decode("utf-8").splitlines():
-                if line:
-                    key, _, value = line.partition("=")
-                    config[key] = value
-        best = float(config.pop("best_val_loss", "inf"))
-        epoch = int(config.pop("epoch", "0"))
+            text = raw[pos:].decode("utf-8")
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # an undecodable name or trailer, or a zero-size shape whose
+            # dimensions numpy cannot hold
+            raise ConfigError(f"{path} is corrupt: {exc}") from None
+        if not text.endswith("\n"):
+            raise ConfigError(f"{path} is truncated: its config trailer is incomplete")
+        config: dict[str, str] = {}
+        for line in text.splitlines():
+            if line:
+                key, _, value = line.partition("=")
+                config[key] = value
+        try:
+            best = float(config.pop("best_val_loss"))
+            epoch = int(config.pop("epoch"))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path} is corrupt: bad or missing {exc}") from None
         return cls(tensors=tensors, config=config, best_val_loss=best, epoch=epoch)
 
 

@@ -161,22 +161,41 @@ class TestConcat:
         assert np.array_equal(ad.backward(out)[x], [[3.0, 3.0]])
 
 
-class TestPadFront:
+class TestCausalWindows:
     def test_definition(self):
-        out = ad.pad_front(ad.constant([1.0, 2.0, 3.0]), 2)
-        assert np.array_equal(out.data, [0.0, 0.0, 1.0, 2.0, 3.0])
+        # L=3, c=1: step t sees the two steps before it, oldest first
+        out = ad.causal_windows(ad.constant([[[1.0], [2.0], [3.0]]]))
+        assert np.array_equal(out.data, [[0.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
 
-    def test_identity(self):
-        x = np.array([[1.0], [2.0]])
-        assert np.array_equal(ad.pad_front(ad.constant(x), 0).data, x)
+    def test_two_steps_is_a_shift(self):
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        out = ad.causal_windows(ad.constant(x))
+        assert np.array_equal(out.data, [[0.0, 0.0], [1.0, 2.0]])
 
     def test_zero_input(self):
-        out = ad.pad_front(ad.constant(np.zeros(4)), 3)
-        assert np.array_equal(out.data, np.zeros(7))
+        out = ad.causal_windows(ad.constant(np.zeros((2, 4, 3))))
+        assert np.array_equal(out.data, np.zeros((8, 9)))
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ContractError):
-            ad.pad_front(ad.constant([1.0]), -1)
+    def test_short_sequence_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.causal_windows(ad.constant(np.zeros((2, 1, 3))))
+        with pytest.raises(DimensionError):
+            ad.causal_windows(ad.constant(np.zeros((4, 3))))
+
+    def test_layout(self):
+        # row t holds steps t-3 .. t-1 flattened time-major, channels within a step
+        x = np.arange(8.0).reshape(1, 4, 2)
+        out = ad.causal_windows(ad.constant(x))
+        assert out.data.shape == (4, 6)
+        assert np.array_equal(out.data[2], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(out.data[3], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_batched_rows_match_single_sequences(self):
+        x = np.random.default_rng(4).uniform(-1, 1, (3, 5, 2))
+        out = ad.causal_windows(ad.constant(x)).data
+        for m in range(3):
+            single = ad.causal_windows(ad.constant(x[m:m + 1])).data
+            assert np.array_equal(out[m * 5:(m + 1) * 5], single)
 
 
 class TestReduce:
@@ -238,20 +257,6 @@ class TestStructuredOps:
         assert np.array_equal(out.data, x[1:3])
         with pytest.raises(DimensionError):
             ad.slice_rows(ad.constant(x), 2, 6)
-
-    def test_sliding_windows_layout(self):
-        # row t is steps [t, t+width) flattened time-major
-        x = np.arange(8.0).reshape(4, 2)
-        out = ad.sliding_windows(ad.constant(x), 2)
-        assert out.data.shape == (3, 4)
-        assert np.array_equal(out.data[1], [2.0, 3.0, 4.0, 5.0])
-
-    def test_sliding_windows_count(self):
-        x = np.arange(10.0).reshape(5, 2)
-        out = ad.sliding_windows(ad.constant(x), 2, count=2)
-        assert out.data.shape == (2, 4)
-        with pytest.raises(DimensionError):
-            ad.sliding_windows(ad.constant(x), 2, count=5)
 
     def test_linear_matches_manual(self):
         rng = np.random.default_rng(3)

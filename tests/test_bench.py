@@ -29,10 +29,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             quick("Transformer")
 
-    def test_single_layer_only(self):
-        with pytest.raises(ConfigError):
-            BenchScenario("TPGN", l_h=48, l_f=48, layers=2)
-
 
 class TestRunScenario:
     def test_record_fields_populated(self):

@@ -68,6 +68,18 @@ class TestTrain:
                      "--target", "v", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_hash_inside_config_value_is_kept(self, tmp_path):
+        run_dir = tmp_path / "runs" / "#3"
+        run_dir.mkdir(parents=True)
+        data = run_synth(run_dir, name="x.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment line\ndata={data}  # trailing comment\n"
+                       "target=value\n")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg), "--out", str(out), *FAST])
+        assert code == 0
+        assert f"data={data}\n" in (out / "manifest.txt").read_text()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         data = run_synth(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -111,6 +123,18 @@ class TestEval:
         first = (out / "metrics.csv").read_text()
         second = (out / "metrics.1.csv").read_text()
         assert first == second
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        from tpgn.training import Checkpoint
+
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(4.0)}, config={"l_h": "48"},
+                   best_val_loss=0.5, epoch=12).save(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        code = main(["eval", "--checkpoint", str(path), "--data", "x.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestDeterminism:

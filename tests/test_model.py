@@ -5,11 +5,11 @@ import pytest
 
 from tpgn import autodiff as ad
 from tpgn.errors import ConfigError
-from tpgn.model import (VARIANTS, Grid2D, NormStats, SeriesWindow, TpgnConfig,
-                        TpgnParams, finite_diff_all_params, flop_count,
-                        forecast_head, long_branch, param_count, prepare_input,
-                        short_branch, tpgn_forward, tpgn_forward_batch,
-                        tpgn_forward_tracked_grid, tpgn_graph_depth)
+from tpgn.model import (VARIANTS, NormStats, SeriesWindow, TpgnConfig,
+                        TpgnParams, _forward_core, finite_diff_all_params,
+                        flop_count, forecast_head, long_branch, param_count,
+                        prepare_input, short_branch, tpgn_forward,
+                        tpgn_forward_batch, tpgn_graph_depth)
 from tpgn.pgn import pgn_forward_oracle
 
 
@@ -33,8 +33,8 @@ class TestPrepareInput:
         w = SeriesWindow(x_1d=[1.0, 2.0, 3.0, 4.0], tf_enc=np.zeros((4, 0)),
                          y_true=[0.0, 0.0])
         grid, stats = prepare_input(w, norm=0, period=2)
-        assert grid.data.shape == (2, 2, 1)
-        assert np.array_equal(grid.data.data[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
+        assert grid.shape == (2, 2, 1)
+        assert np.array_equal(grid[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
         assert stats.norm == 0
 
     def test_grid_index_mapping(self):
@@ -44,7 +44,7 @@ class TestPrepareInput:
         grid, _ = prepare_input(w, norm=0, period=period)
         for r in range(3):
             for p in range(period):
-                assert grid.data.data[r, p, 0] == float(r * period + p)
+                assert grid[r, p, 0] == float(r * period + p)
 
     def test_normalization_moments(self):
         # mu = 2, population variance 2/3 for [1, 2, 3]
@@ -53,7 +53,7 @@ class TestPrepareInput:
         grid, stats = prepare_input(w, norm=1, period=1)
         assert stats.mu == 2.0
         assert abs(stats.sigma - np.sqrt(2.0 / 3.0)) < 1e-15
-        values = grid.data.data[:, 0, 0]
+        values = grid[:, 0, 0]
         root = np.sqrt(1.5)
         assert np.allclose(values, [-root, 0.0, root], atol=1e-12)
         assert abs(values.mean()) < 1e-9
@@ -63,7 +63,15 @@ class TestPrepareInput:
         w = SeriesWindow(x_1d=np.full(6, 4.2), tf_enc=np.zeros((6, 0)),
                          y_true=np.zeros(2))
         grid, stats = prepare_input(w, norm=1, period=2)
-        assert np.all(grid.data.data[:, :, 0] == 0.0)
+        assert np.all(grid[:, :, 0] == 0.0)
+        assert stats.sigma == 1e-5
+
+    def test_near_constant_series_uses_sigma_floor(self):
+        # sigma ~ 3e-17 here: dividing by it would blow rounding noise up to +-1
+        w = SeriesWindow(x_1d=np.full(168, 0.1), tf_enc=np.zeros((168, 0)),
+                         y_true=np.zeros(24))
+        grid, stats = prepare_input(w, norm=1, period=24)
+        assert np.all(np.abs(grid[:, :, 0]) <= 1e-9)
         assert stats.sigma == 1e-5
 
     def test_time_features_ride_along_unnormalized(self):
@@ -71,7 +79,7 @@ class TestPrepareInput:
         tf = rng.uniform(-0.5, 0.5, (4, 2))
         w = SeriesWindow(x_1d=[10.0, 20.0, 30.0, 40.0], tf_enc=tf, y_true=[0.0, 0.0])
         grid, _ = prepare_input(w, norm=1, period=2)
-        assert np.array_equal(grid.data.data[:, :, 1:].reshape(4, 2), tf)
+        assert np.array_equal(grid[:, :, 1:].reshape(4, 2), tf)
 
     def test_indivisible_length_rejected(self):
         w = SeriesWindow(x_1d=np.zeros(5), tf_enc=np.zeros((5, 0)), y_true=[0.0])
@@ -85,7 +93,7 @@ class TestLongBranch:
         for b in (params.pgn.hie_b, params.pgn.gate_b, params.pgn.cand_b):
             b[:] = 0.0
         params.long_b = np.asarray(0.7)
-        grid = Grid2D(ad.constant(np.zeros((2, 4, 2))))
+        grid = np.zeros((2, 4, 2))
         out = long_branch(grid, params)
         assert np.allclose(out.data, 0.7, atol=0)
 
@@ -95,7 +103,7 @@ class TestLongBranch:
         w = make_window(12, 8, c_time=2, seed=3)
         grid, _ = prepare_input(w, 0, 4)
         got = long_branch(grid, params).data
-        arr = grid.data.data
+        arr = grid
         for p in range(4):
             col = arr[:, p, :]
             cell = pgn_forward_oracle(col, params.pgn).output.data  # [R, d]
@@ -108,18 +116,18 @@ class TestLongBranch:
         arr = rng.uniform(-1, 1, (3, 4, 2))
         swapped = arr.copy()
         swapped[:, [1, 2], :] = swapped[:, [2, 1], :]
-        a = long_branch(Grid2D(ad.constant(arr)), params).data
-        b = long_branch(Grid2D(ad.constant(swapped)), params).data
+        a = long_branch(arr, params).data
+        b = long_branch(swapped, params).data
         assert np.array_equal(a[[2, 1]], b[[1, 2]])
 
     def test_column_independence(self):
         params, _ = make_model(l_h=12, l_f=8, period=4, hidden=2, seed=6)
         rng = np.random.default_rng(7)
         arr = rng.uniform(-1, 1, (3, 4, 2))
-        base = long_branch(Grid2D(ad.constant(arr)), params).data
+        base = long_branch(arr, params).data
         zeroed = arr.copy()
         zeroed[:, 2, :] = 0.0
-        out = long_branch(Grid2D(ad.constant(zeroed)), params).data
+        out = long_branch(zeroed, params).data
         for q in range(4):
             if q == 2:
                 continue
@@ -131,7 +139,7 @@ class TestShortBranch:
         params, _ = make_model(hidden=3)
         params.row_b[:] = 0.0
         params.col_b = np.asarray(0.0)
-        out = short_branch(Grid2D(ad.constant(np.zeros((2, 4, 2)))), params)
+        out = short_branch(np.zeros((2, 4, 2)), params)
         assert np.all(out.data == 0.0)
 
     def test_single_row_weight_selects_patch(self):
@@ -142,7 +150,7 @@ class TestShortBranch:
         params.col_b = np.asarray(0.25)
         rng = np.random.default_rng(9)
         arr = rng.uniform(-1, 1, (2, 4, 2))
-        out = short_branch(Grid2D(ad.constant(arr)), params).data
+        out = short_branch(arr, params).data
         patch0 = params.row_w @ arr[0].reshape(-1) + params.row_b
         expected = alpha * patch0 + 0.25
         for p in range(4):
@@ -152,7 +160,7 @@ class TestShortBranch:
         params, _ = make_model(l_h=4, l_f=4, period=2, c_time=0, hidden=1, seed=10)
         rng = np.random.default_rng(11)
         arr = rng.uniform(-1, 1, (2, 2, 1))
-        got = short_branch(Grid2D(ad.constant(arr)), params).data
+        got = short_branch(arr, params).data
         patches = arr.reshape(2, 2) @ params.row_w.T + params.row_b  # [R, d]
         global_vec = params.col_w @ patches + params.col_b
         assert np.allclose(got, np.tile(global_vec, (2, 1)), atol=1e-12)
@@ -167,7 +175,7 @@ class TestShortBranch:
         params.col_b = np.asarray(0.0)
         arr = np.zeros((2, 2, 2))
         arr[0, 1, 1] = 5.0
-        out = short_branch(Grid2D(ad.constant(arr)), params).data
+        out = short_branch(arr, params).data
         assert np.allclose(out, 5.0, atol=0)
 
 
@@ -318,15 +326,21 @@ class TestTpgnForward:
 
 class TestTrackedGridForward:
     def test_matches_fast_path(self):
-        params, cfg = make_model(l_h=12, l_f=8, period=4, hidden=3, seed=29)
+        # the one model forward, fed a leaf grid as depth probing does,
+        # reproduces the untracked batch path for every variant
         w = make_window(12, 8, seed=30)
-        fast = tpgn_forward(w, params, cfg).data
-        grid, stats = prepare_input(w, cfg.norm, cfg.period)
-        g = ad.Graph()
-        leaf = g.leaf(grid.data.data, op="input")
-        tracked = tpgn_forward_tracked_grid(leaf, stats, params.leaf_into(g),
-                                            params, cfg)
-        assert np.max(np.abs(tracked.data - fast)) <= 1e-12
+        for variant in VARIANTS:
+            params, cfg = make_model(l_h=12, l_f=8, period=4, hidden=3, seed=29,
+                                     variant=variant)
+            fast = tpgn_forward(w, params, cfg).data
+            grid, stats = prepare_input(w, cfg.norm, cfg.period)
+            g = ad.Graph()
+            leaf = g.leaf(grid[None], op="input")
+            tracked = _forward_core(leaf, [stats], params.leaf_into(g), params, cfg)
+            assert tracked.tracked
+            assert np.array_equal(tracked.data[0], fast), variant
+            grad = ad.backward(ad.reduce_sum(tracked))[leaf]
+            assert grad.shape == leaf.shape and np.any(grad != 0.0), variant
 
     def test_depth_constant_across_history_lengths(self):
         depths = []

@@ -8,7 +8,7 @@ import pytest
 from tpgn import autodiff as ad
 from tpgn.baselines import GruParams, sequence_graph_depth
 from tpgn.errors import ContractError, DimensionError
-from tpgn.pgn import (PgnParams, graph_depth, hie_forward, pgn_forward,
+from tpgn.pgn import (PgnParams, graph_depth, pgn_apply, pgn_forward,
                       pgn_forward_oracle, pgn_macs)
 
 
@@ -20,7 +20,7 @@ class TestHie:
     def test_zero_history_gives_bias(self):
         p = make_params(6, 2, 3, seed=1)
         p.hie_b = np.array([0.5, -1.0, 2.0])
-        h = hie_forward(np.zeros((6, 2)), p)
+        h = pgn_forward(np.zeros((6, 2)), p).history
         assert np.allclose(h.data, np.tile(p.hie_b, (6, 1)), atol=0)
 
     def test_hand_case(self):
@@ -28,7 +28,7 @@ class TestHie:
         p = make_params(3, 1, 1)
         p.hie_w = np.array([[1.0, 1.0]])
         p.hie_b = np.zeros(1)
-        h = hie_forward(np.array([[1.0], [2.0], [3.0]]), p)
+        h = pgn_forward(np.array([[1.0], [2.0], [3.0]]), p).history
         assert np.array_equal(h.data.ravel(), [0.0, 1.0, 3.0])
 
     def test_oldest_first_window_orientation(self):
@@ -36,7 +36,7 @@ class TestHie:
         p = make_params(4, 1, 1)
         p.hie_w = np.array([[0.0, 0.0, 1.0]])
         p.hie_b = np.zeros(1)
-        h = hie_forward(np.array([[1.0], [2.0], [3.0], [4.0]]), p)
+        h = pgn_forward(np.array([[1.0], [2.0], [3.0], [4.0]]), p).history
         assert np.array_equal(h.data.ravel(), [0.0, 1.0, 2.0, 3.0])
 
     def test_random_against_per_step_oracle(self):
@@ -44,7 +44,7 @@ class TestHie:
         L, c, d = 16, 2, 5
         p = make_params(L, c, d, seed=3)
         x = rng.uniform(-1, 1, (L, c))
-        h = hie_forward(x, p).data
+        h = pgn_forward(x, p).history.data
         for t in range(L):
             window = np.zeros((L - 1) * c)
             for j, src in enumerate(range(t - (L - 1), t)):
@@ -59,12 +59,12 @@ class TestHie:
         p = make_params(2, 1, 1)
         p.seq_len = 1  # corrupt after the fact
         with pytest.raises((ContractError, DimensionError)):
-            hie_forward(np.zeros((1, 1)), p)
+            pgn_forward(np.zeros((1, 1)), p)
 
     def test_input_shape_checked(self):
         p = make_params(4, 1, 2)
         with pytest.raises(DimensionError):
-            hie_forward(np.zeros((5, 1)), p)
+            pgn_forward(np.zeros((5, 1)), p)
 
 
 class TestPgnForward:
@@ -162,9 +162,7 @@ class TestPgnForward:
 
 
 def pgn_forward_tracked(xt, params):
-    from tpgn.pgn import pgn_apply
-
-    return pgn_apply(xt, params.leaf_into(xt.graph), params.seq_len)
+    return pgn_apply(ad.reshape(xt, (1,) + xt.shape), params.leaf_into(xt.graph))
 
 
 class TestGradients:
@@ -176,8 +174,7 @@ class TestGradients:
             def f(t, _name=name):
                 w = {k: ad.constant(v) for k, v in arrays.items()}
                 w[_name] = t
-                from tpgn.pgn import pgn_apply
-                out = pgn_apply(ad.constant(x), w, p.seq_len)
+                out = pgn_apply(ad.constant(x[None]), w)
                 return ad.reduce_sum(out.output)
 
             err = ad.finite_diff_check(f, arrays[name])

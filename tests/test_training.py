@@ -225,6 +225,46 @@ class TestCheckpoint:
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.epoch == ckpt.epoch
 
+    def test_truncation_at_every_offset_raises(self, tmp_path):
+        cfg = tiny_config()
+        ckpt = Checkpoint(tensors=tiny_params(cfg).named_arrays(),
+                          config={**cfg.as_dict(), "c_time": "1"},
+                          best_val_loss=0.123456789012345678, epoch=12)
+        path = tmp_path / "model.tpgn"
+        ckpt.save(path)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            cut = tmp_path / f"cut{size}.tpgn"  # fresh files: rewriting one is slow
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ConfigError):
+                Checkpoint.load(cut)
+
+    @pytest.mark.parametrize("offset,value", [
+        (5, 2**62),                   # name length
+        (5 + 8 + 1, 2**62),           # rank of the first tensor
+        (5 + 8 + 1 + 8, 2**63 + 1),   # its first dimension
+        (5 + 8 + 1 + 8, 2**64 - 1),
+    ])
+    def test_huge_declared_size_raises(self, tmp_path, offset, value):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(3.0)}, config={},
+                   best_val_loss=0.5, epoch=1).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = value.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError):
+            Checkpoint.load(path)
+
+    def test_undecodable_name_raises(self, tmp_path):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(3.0)}, config={},
+                   best_val_loss=0.5, epoch=1).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[5 + 8] = 0xFF  # the single byte of the name "w"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="corrupt"):
+            Checkpoint.load(path)
+
     def test_magic_string_checked(self, tmp_path):
         path = tmp_path / "junk.tpgn"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
