@@ -11,8 +11,8 @@ grow with sequence length (a recurrent cell's does).
 
 import numpy as np
 
-from tpgn import PgnParams, pgn_forward, pgn_forward_oracle, graph_depth
-from tpgn.baselines import GruParams, sequence_graph_depth
+from tpgn import (GruParams, PgnParams, pgn_forward, pgn_forward_oracle,
+                  sequence_graph_depth)
 
 rng = np.random.default_rng(0)
 
@@ -52,7 +52,7 @@ print("\nlongest input->output op chain:")
 print(f"{'L':>6} {'gated cell':>12} {'GRU':>8}")
 gru = GruParams.init(1, d, rng)
 for length in (8, 64, 512):
-    cell_depth = graph_depth(PgnParams.init(length, 1, d, rng))
+    cell_depth = sequence_graph_depth(PgnParams.init(length, 1, d, rng), length)
     gru_depth = sequence_graph_depth(gru, length)
     print(f"{length:>6} {cell_depth:>12} {gru_depth:>8}")
 print("the gated cell's path length is flat; the recurrence pays ~7 ops per step")

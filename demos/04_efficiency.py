@@ -7,7 +7,7 @@
    widths grow like sqrt(L), and a log-log fit of per-layer work confirms
    the exponent.
 3. Memory: the tape's own byte counter, the cumulative bytes of the
-   arrays it has seen (not a true peak, and not repeatable to the byte).
+   arrays it has seen (repeatable, but not a true peak).
 
 Shapes here are trimmed so the script finishes in about a minute; pass
 --full for the benchmark-protocol sizes (d_m=128, batch=32, L up to 1440).

@@ -13,15 +13,18 @@ tracked, and stay plain numpy otherwise.  That split keeps data
 preparation off the tape for free.
 
 The tape also keeps a byte counter, which the benchmark harness reports
-as ``peak_bytes``.  It is neither a peak nor deterministic: it sums the
-bytes of every array the tape has seen (plus gradient buffers), never
-decreases, counts a reshape view again on top of its base, and keys
-arrays by ``id()``, which CPython reuses after garbage collection, so
-identical steps can report different totals.
+as ``peak_bytes``.  It is not a peak: it sums the bytes of every array
+the tape has seen (plus gradient buffers), never decreases, and counts a
+reshape view again on top of its base.  Arrays are told apart by
+``id()`` plus a weak reference, so an id that CPython reuses after
+garbage collection cannot hide a new array, and identical steps report
+identical totals.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +54,8 @@ __all__ = [
     "repeat_rows",
     "backward",
     "finite_diff_check",
+    "ParamSet",
+    "fan_in_uniform",
 ]
 
 
@@ -122,12 +127,24 @@ class _Node:
         self.shape = shape
 
 
+def _identity_ref(obj) -> Callable[[], object]:
+    """A weak reference to ``obj``; numpy scalars take none, so their few
+    bytes are held instead."""
+    try:
+        return weakref.ref(obj)
+    except TypeError:
+        return lambda: obj
+
+
 class Graph:
     """Append-only tape.  Parents of node i always have index < i."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._seen_arrays: set[int] = set()
+        # counted arrays by id(), each with a reference that checks identity:
+        # an id CPython reuses for a new array after the old one died
+        # counts again
+        self._seen_arrays: dict[int, Callable[[], object]] = {}
         self.live_bytes: int = 0
         self.peak_bytes: int = 0
 
@@ -142,8 +159,9 @@ class Graph:
         return len(self.nodes)
 
     def _note_bytes(self, arr: np.ndarray) -> None:
-        if id(arr) not in self._seen_arrays:
-            self._seen_arrays.add(id(arr))
+        seen = self._seen_arrays.get(id(arr))
+        if seen is None or seen() is not arr:
+            self._seen_arrays[id(arr)] = _identity_ref(arr)
             self.live_bytes += arr.nbytes
             if self.live_bytes > self.peak_bytes:
                 self.peak_bytes = self.live_bytes
@@ -600,3 +618,59 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-4) -> floa
         if err > worst:
             worst = err
     return worst
+
+
+# ---------------------------------------------------------------------------
+# parameter containers
+
+def fan_in_uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws; fan_in is the last axis."""
+    bound = 1.0 / np.sqrt(shape[-1])
+    return rng.uniform(-bound, bound, size=shape)
+
+
+class ParamSet:
+    """Base of every weight container.
+
+    A subclass is a dataclass whose leading fields are its structural sizes
+    and whose :meth:`shapes` lists its tensors in order, name -> shape; a
+    dotted name such as ``cell.hie_w`` reaches into a nested container.
+    Naming, tracking, constant views and validation all derive from that
+    one table.
+    """
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        raise NotImplementedError
+
+    @classmethod
+    def init(cls, *sizes_then_rng):
+        """Sizes in field order, then a generator.  Matrices are drawn by
+        :func:`fan_in_uniform` in table order; vectors start at zero."""
+        *sizes, rng = sizes_then_rng
+        if min(sizes) < 1:
+            raise ContractError(f"{cls.__name__} sizes must be positive, got {sizes}")
+        params = cls(*sizes)
+        for name, shape in params.shapes().items():
+            setattr(params, name, fan_in_uniform(rng, *shape) if len(shape) == 2
+                    else np.zeros(shape))
+        return params
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        return {name: functools.reduce(getattr, name.split("."), self)
+                for name in self.shapes()}
+
+    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
+        """Track every weight on ``graph``; keys match :meth:`named_arrays`."""
+        return {name: graph.leaf(a) for name, a in self.named_arrays().items()}
+
+    def constants(self) -> dict[str, Tensor]:
+        return {name: constant(a) for name, a in self.named_arrays().items()}
+
+    def validate(self) -> None:
+        for (name, arr), shape in zip(self.named_arrays().items(),
+                                      self.shapes().values()):
+            got = getattr(arr, "shape", None)
+            if got != shape:
+                raise DimensionError(f"{name} has shape {got}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ContractError(f"{name} contains non-finite entries")

@@ -1,34 +1,42 @@
-"""Sequential gated cells (GRU, LSTM) and a per-step MLP block.
+"""The long branch's alternative cells and the table of every cell kind.
 
-These are the drop-in alternatives for the long-range branch of the
-forecasting model and the sequential reference point for the efficiency
-benchmarks.  The recurrences are the standard formulations, run as a
-strict step-by-step loop, which is exactly the property the comparisons
-need: their computation-graph depth grows with sequence length.
+GRU and LSTM are the standard recurrences, run as a strict step-by-step
+loop, which is exactly the property the comparisons need: their
+computation-graph depth grows with sequence length.  The MLP is a
+per-step two-layer map with no temporal mixing.
 
 :func:`recurrent_forward` is the one recurrence: it advances M independent
-sequences [M, L, c] in lockstep, one batched cell step per time step.  The
-per-sequence forwards, :func:`sequence_graph_depth`, the model's long
-branch and the benchmark all call it.
+sequences [M, L, c] in lockstep, one batched cell step per time step.
+
+:data:`CELLS` is the one place that decides "which cell, which weights":
+it maps each kind (``pgn``, ``gru``, ``lstm``, ``mlp``) to its parameter
+class, its batched apply [M, L, c] -> [M*L, d] and its multiply-accumulate
+count.  The model, the benchmark, the per-sequence :func:`cell_forward` and
+the depth probe :func:`sequence_graph_depth` all dispatch through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor
+from .autodiff import Graph, ParamSet, Tensor
 from .errors import ContractError, DimensionError
+from .pgn import PgnParams, pgn_apply, pgn_macs
 
 __all__ = [
     "GruParams",
     "LstmParams",
     "MlpParams",
-    "gru_forward_seq",
-    "lstm_forward_seq",
-    "mlp_block",
+    "Cell",
+    "CELLS",
+    "cell_kind",
+    "new_cell",
+    "cell_forward",
     "gru_step",
     "lstm_step",
     "recurrent_forward",
@@ -39,133 +47,64 @@ __all__ = [
 ]
 
 
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _validate_named(obj, expected: dict[str, tuple[int, ...]]) -> None:
-    for name, shape in expected.items():
-        arr = getattr(obj, name)
-        if arr.shape != shape:
-            raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ContractError(f"{name} contains non-finite entries")
-
-
 @dataclass
-class GruParams:
+class GruParams(ParamSet):
     """update_w/reset_w act on [x, h]; the candidate splits its input and
     recurrent maps so the reset gate can mask the recurrent part."""
 
     in_channels: int
     hidden: int
-    update_w: np.ndarray  # [d, c+d]
-    update_b: np.ndarray
-    reset_w: np.ndarray   # [d, c+d]
-    reset_b: np.ndarray
-    cand_xw: np.ndarray   # [d, c]
-    cand_hw: np.ndarray   # [d, d]
-    cand_b: np.ndarray
+    update_w: np.ndarray = None
+    update_b: np.ndarray = None
+    reset_w: np.ndarray = None
+    reset_b: np.ndarray = None
+    cand_xw: np.ndarray = None
+    cand_hw: np.ndarray = None
+    cand_b: np.ndarray = None
 
-    @classmethod
-    def init(cls, in_channels: int, hidden: int, rng: np.random.Generator) -> "GruParams":
-        c, d = in_channels, hidden
-        return cls(
-            in_channels=c, hidden=d,
-            update_w=_uniform(rng, d, c + d), update_b=np.zeros(d),
-            reset_w=_uniform(rng, d, c + d), reset_b=np.zeros(d),
-            cand_xw=_uniform(rng, d, c), cand_hw=_uniform(rng, d, d),
-            cand_b=np.zeros(d),
-        )
-
-    def validate(self) -> None:
+    def shapes(self) -> dict[str, tuple[int, ...]]:
         c, d = self.in_channels, self.hidden
-        _validate_named(self, {
-            "update_w": (d, c + d), "update_b": (d,),
-            "reset_w": (d, c + d), "reset_b": (d,),
-            "cand_xw": (d, c), "cand_hw": (d, d), "cand_b": (d,),
-        })
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        names = ("update_w", "update_b", "reset_w", "reset_b",
-                 "cand_xw", "cand_hw", "cand_b")
-        return {n: getattr(self, n) for n in names}
-
-    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
-        return {n: graph.leaf(a) for n, a in self.named_arrays().items()}
+        return {"update_w": (d, c + d), "update_b": (d,),
+                "reset_w": (d, c + d), "reset_b": (d,),
+                "cand_xw": (d, c), "cand_hw": (d, d), "cand_b": (d,)}
 
 
 @dataclass
-class LstmParams:
+class LstmParams(ParamSet):
     """Input/forget/output gates and the cell candidate, each over [x, h]."""
 
     in_channels: int
     hidden: int
-    input_w: np.ndarray
-    input_b: np.ndarray
-    forget_w: np.ndarray
-    forget_b: np.ndarray
-    output_w: np.ndarray
-    output_b: np.ndarray
-    cell_w: np.ndarray
-    cell_b: np.ndarray
+    input_w: np.ndarray = None
+    input_b: np.ndarray = None
+    forget_w: np.ndarray = None
+    forget_b: np.ndarray = None
+    output_w: np.ndarray = None
+    output_b: np.ndarray = None
+    cell_w: np.ndarray = None
+    cell_b: np.ndarray = None
 
-    @classmethod
-    def init(cls, in_channels: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
-        c, d = in_channels, hidden
-        return cls(
-            in_channels=c, hidden=d,
-            input_w=_uniform(rng, d, c + d), input_b=np.zeros(d),
-            forget_w=_uniform(rng, d, c + d), forget_b=np.zeros(d),
-            output_w=_uniform(rng, d, c + d), output_b=np.zeros(d),
-            cell_w=_uniform(rng, d, c + d), cell_b=np.zeros(d),
-        )
-
-    def validate(self) -> None:
+    def shapes(self) -> dict[str, tuple[int, ...]]:
         c, d = self.in_channels, self.hidden
-        gates = {}
-        for g in ("input", "forget", "output", "cell"):
-            gates[f"{g}_w"] = (d, c + d)
-            gates[f"{g}_b"] = (d,)
-        _validate_named(self, gates)
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        names = ("input_w", "input_b", "forget_w", "forget_b",
-                 "output_w", "output_b", "cell_w", "cell_b")
-        return {n: getattr(self, n) for n in names}
-
-    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
-        return {n: graph.leaf(a) for n, a in self.named_arrays().items()}
+        return {f"{gate}_{part}": shape
+                for gate in ("input", "forget", "output", "cell")
+                for part, shape in (("w", (d, c + d)), ("b", (d,)))}
 
 
 @dataclass
-class MlpParams:
+class MlpParams(ParamSet):
     """Two affine maps with a tanh between, applied per step: c -> d -> d."""
 
     in_channels: int
     hidden: int
-    w1: np.ndarray  # [d, c]
-    b1: np.ndarray
-    w2: np.ndarray  # [d, d]
-    b2: np.ndarray
+    w1: np.ndarray = None
+    b1: np.ndarray = None
+    w2: np.ndarray = None
+    b2: np.ndarray = None
 
-    @classmethod
-    def init(cls, in_channels: int, hidden: int, rng: np.random.Generator) -> "MlpParams":
-        c, d = in_channels, hidden
-        return cls(in_channels=c, hidden=d,
-                   w1=_uniform(rng, d, c), b1=np.zeros(d),
-                   w2=_uniform(rng, d, d), b2=np.zeros(d))
-
-    def validate(self) -> None:
+    def shapes(self) -> dict[str, tuple[int, ...]]:
         c, d = self.in_channels, self.hidden
-        _validate_named(self, {"w1": (d, c), "b1": (d,), "w2": (d, d), "b2": (d,)})
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in ("w1", "b1", "w2", "b2")}
-
-    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
-        return {n: graph.leaf(a) for n, a in self.named_arrays().items()}
+        return {"w1": (d, c), "b1": (d,), "w2": (d, d), "b2": (d,)}
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +140,12 @@ def mlp_step(x: Tensor, w: dict[str, Tensor]) -> Tensor:
     return ad.linear(hidden, w["w2"], w["b2"])
 
 
+def mlp_apply(x: Tensor, w: dict[str, Tensor]) -> Tensor:
+    """The per-step MLP over M sequences [M, L, c] -> [M*L, d]."""
+    m, length, c = x.shape
+    return mlp_step(ad.reshape(x, (m * length, c)), w)
+
+
 def recurrent_forward(x: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """Hidden states of M sequences [M, L, c] advanced in lockstep from a
     zero state by the ``"gru"`` or ``"lstm"`` cell: [M*L, d], rows (m, t)-major."""
@@ -224,60 +169,6 @@ def recurrent_forward(x: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# per-sequence forwards
-
-def _prep(x, params, graph):
-    x = np.asarray(x, dtype=np.float64)
-    params.validate()
-    if x.ndim != 2 or x.shape[1] != params.in_channels:
-        raise DimensionError(
-            f"input shape {x.shape} does not match in_channels {params.in_channels}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("input contains non-finite entries")
-    if graph is None:
-        return ad.constant(x), {k: ad.constant(v) for k, v in params.named_arrays().items()}
-    return graph.leaf(x, op="input"), params.leaf_into(graph)
-
-
-def gru_forward_seq(x, params: GruParams, graph: Graph | None = None) -> Tensor:
-    """All hidden states [L, hidden] of the strict recurrence, h_0 = 0."""
-    xt, w = _prep(x, params, graph)
-    return recurrent_forward(ad.reshape(xt, (1,) + xt.shape), w, "gru")
-
-
-def lstm_forward_seq(x, params: LstmParams, graph: Graph | None = None) -> Tensor:
-    """All hidden states [L, hidden], h_0 = c_0 = 0."""
-    xt, w = _prep(x, params, graph)
-    return recurrent_forward(ad.reshape(xt, (1,) + xt.shape), w, "lstm")
-
-
-def mlp_block(x, params: MlpParams, graph: Graph | None = None) -> Tensor:
-    """Per-step two-layer map [L, c] -> [L, hidden]; no temporal mixing."""
-    xt, w = _prep(x, params, graph)
-    return mlp_step(xt, w)
-
-
-def sequence_graph_depth(params, length: int) -> int:
-    """Longest op chain from the input to the last emitted state.
-
-    Grows at least linearly with ``length`` for the recurrent cells; that
-    chain is what the parallel cell removes.
-    """
-    graph = Graph()
-    x = np.zeros((length, params.in_channels))
-    if isinstance(params, GruParams):
-        out = gru_forward_seq(x, params, graph)
-    elif isinstance(params, LstmParams):
-        out = lstm_forward_seq(x, params, graph)
-    elif isinstance(params, MlpParams):
-        out = mlp_block(x, params, graph)
-    else:
-        raise ContractError(f"unsupported cell parameters: {type(params).__name__}")
-    input_id = next(i for i, n in enumerate(graph.nodes) if n.op == "input")
-    return graph.longest_path(input_id, out.node_id)
-
-
-# ---------------------------------------------------------------------------
 # multiply-accumulate counts of one forward pass
 
 def gru_macs(length: int, in_channels: int, hidden: int) -> int:
@@ -292,3 +183,75 @@ def lstm_macs(length: int, in_channels: int, hidden: int) -> int:
 
 def mlp_macs(length: int, in_channels: int, hidden: int) -> int:
     return length * (in_channels * hidden + hidden * hidden)
+
+
+# ---------------------------------------------------------------------------
+# the cell table
+
+@dataclass(frozen=True)
+class Cell:
+    """One cell kind: its weights, its batched apply and its cost."""
+
+    params: type                                          # a ParamSet subclass
+    apply: Callable[[Tensor, dict[str, Tensor]], Tensor]  # [M, L, c] -> [M*L, d]
+    macs: Callable[[int, int, int], int]                  # (length, c, d), one sequence
+
+
+CELLS = {
+    "pgn": Cell(PgnParams, lambda x, w: pgn_apply(x, w).output, pgn_macs),
+    "gru": Cell(GruParams, partial(recurrent_forward, kind="gru"), gru_macs),
+    "lstm": Cell(LstmParams, partial(recurrent_forward, kind="lstm"), lstm_macs),
+    "mlp": Cell(MlpParams, mlp_apply, mlp_macs),
+}
+
+
+def cell_kind(params: ParamSet) -> str:
+    """The :data:`CELLS` key of a cell's parameter object."""
+    for kind, cell in CELLS.items():
+        if type(params) is cell.params:
+            return kind
+    raise ContractError(f"unsupported cell parameters: {type(params).__name__}")
+
+
+def new_cell(kind: str, length: int, in_channels: int, hidden: int,
+             rng: np.random.Generator) -> ParamSet:
+    """Fresh weights of a ``kind`` cell for length-``length`` sequences.
+
+    Only the gated cell's weights depend on the length; each class takes
+    the sizes it declares as fields.
+    """
+    cls = CELLS[kind].params
+    sizes = {"seq_len": length, "in_channels": in_channels, "hidden": hidden}
+    return cls.init(*(sizes[f.name] for f in fields(cls) if f.name in sizes), rng)
+
+
+def cell_forward(x, params: ParamSet, graph: Graph | None = None) -> Tensor:
+    """Every state [L, hidden] a cell emits over one sequence [L, c].
+
+    With ``graph`` given, the input and every weight become tracked leaves,
+    so gradients and path lengths can be read off afterwards; without it
+    the computation stays plain numpy.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    params.validate()
+    if x.ndim != 2 or x.shape[1] != params.in_channels:
+        raise DimensionError(
+            f"input shape {x.shape} does not match in_channels {params.in_channels}")
+    if not np.all(np.isfinite(x)):
+        raise ContractError("input contains non-finite entries")
+    apply = CELLS[cell_kind(params)].apply
+    if graph is None:
+        return apply(ad.constant(x[None]), params.constants())
+    return apply(graph.leaf(x[None], op="input"), params.leaf_into(graph))
+
+
+def sequence_graph_depth(params: ParamSet, length: int) -> int:
+    """Longest op chain from a length-``length`` input to the last state.
+
+    Grows at least linearly with ``length`` for the recurrent cells; that
+    chain is what the parallel cell removes (its depth is constant).
+    """
+    graph = Graph()
+    out = cell_forward(np.zeros((length, params.in_channels)), params, graph)
+    input_id = next(i for i, n in enumerate(graph.nodes) if n.op == "input")
+    return graph.longest_path(input_id, out.node_id)

@@ -4,8 +4,8 @@ Each scenario times one training step (tracked forward plus backward) and
 one tracked forward of a model kind at given history/horizon lengths,
 reporting the median over repeats after warmup.  ``peak_bytes`` is the
 tape's own byte counter, not process RSS: the cumulative bytes of the
-arrays the tape has seen, keyed by ``id()``, so it is neither a peak nor
-repeatable to the byte (identical steps can differ by several percent).
+arrays the tape has seen, so it is not a peak, though identical steps
+report identical totals.
 Multiply-accumulate counts come from the closed-form cost formulas.
 The gated-cell and recurrent scenarios run one call per sequence of the
 batch.  Scenarios run strictly one at a time.
@@ -24,7 +24,6 @@ from . import baselines
 from .errors import ConfigError, ContractError
 from .model import (SeriesWindow, TpgnConfig, TpgnParams, flop_count,
                     tpgn_forward_batch, tpgn_graph_depth)
-from .pgn import PgnParams, graph_depth, pgn_apply, pgn_macs
 
 __all__ = [
     "BenchScenario",
@@ -37,7 +36,9 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("TPGN", "PGN-raw", "GRU-seq", "LSTM-seq")
-CSV_HEADER = "model,L_h,L_f,d_m,batch,time_ms_median,peak_bytes,macs,graph_depth"
+_BARE_CELLS = {"PGN-raw": "pgn", "GRU-seq": "gru", "LSTM-seq": "lstm"}
+CSV_HEADER = ("model,L_h,L_f,d_m,batch,time_ms_median,forward_ms_median,"
+              "peak_bytes,macs,graph_depth")
 
 
 @dataclass
@@ -77,8 +78,8 @@ class BenchRecord:
     def csv_row(self) -> str:
         s = self.scenario
         return (f"{s.model},{s.l_h},{s.l_f},{s.d_m},{s.batch},"
-                f"{self.time_ms_median:.3f},{self.peak_bytes},{self.macs},"
-                f"{self.graph_depth}")
+                f"{self.time_ms_median:.3f},{self.forward_ms_median:.3f},"
+                f"{self.peak_bytes},{self.macs},{self.graph_depth}")
 
 
 def _tpgn_setup(s: BenchScenario):
@@ -107,27 +108,16 @@ def _tpgn_setup(s: BenchScenario):
 def _cell_setup(s: BenchScenario):
     """A bare cell over single-channel sequences, called once per sequence."""
     rng = np.random.default_rng(s.seed)
-    kind = {"PGN-raw": "pgn", "GRU-seq": "gru", "LSTM-seq": "lstm"}[s.model]
-    if kind == "pgn":
-        params = PgnParams.init(s.l_h, 1, s.d_m, rng)
-        macs, depth = pgn_macs(s.l_h, 1, s.d_m), graph_depth(params)
-    else:
-        cls, macs_of = {"gru": (baselines.GruParams, baselines.gru_macs),
-                        "lstm": (baselines.LstmParams, baselines.lstm_macs)}[kind]
-        params = cls.init(1, s.d_m, rng)
-        macs = macs_of(s.l_h, 1, s.d_m)
-        depth = baselines.sequence_graph_depth(params, s.l_h)
-
-    def run(x, w):
-        if kind == "pgn":
-            return pgn_apply(x, w).output
-        return baselines.recurrent_forward(x, w, kind)
-
+    kind = _BARE_CELLS[s.model]
+    cell = baselines.CELLS[kind]
+    params = baselines.new_cell(kind, s.l_h, 1, s.d_m, rng)
+    macs = cell.macs(s.l_h, 1, s.d_m)
+    depth = baselines.sequence_graph_depth(params, s.l_h)
     xs = [rng.uniform(-1, 1, (s.l_h, 1)) for _ in range(s.batch)]
 
     def forward(graph):
         w = params.leaf_into(graph)
-        return ad.concat([run(ad.constant(x[None]), w) for x in xs], axis=0)
+        return ad.concat([cell.apply(ad.constant(x[None]), w) for x in xs], axis=0)
 
     def loss_of(out):
         return ad.reduce_mean(ad.mul(out, out))
@@ -210,7 +200,7 @@ def sweep(scenarios, out_path=None) -> tuple[list[BenchRecord], "object | None"]
                 else:
                     s = r.scenario
                     fh.write(f"{s.model},{s.l_h},{s.l_f},{s.d_m},{s.batch},"
-                             f"failed,failed,failed,failed\n")
+                             + ",".join(["failed"] * 5) + "\n")
     return records, written
 
 

@@ -7,7 +7,7 @@ Every run writes its resolved manifest before any computation, and output
 files are versioned (name.1.csv, name.2.csv, ...) rather than overwritten.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric
-divergence.
+divergence.  Library log records (``tpgn.*``, INFO and up) go to stderr.
 """
 
 # The thread cap must be in the environment before numpy initializes its
@@ -22,6 +22,7 @@ if _threads:
 
 import argparse
 import hashlib
+import logging
 import re
 import sys
 from dataclasses import dataclass
@@ -80,6 +81,14 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
+def _typed(key: str, value: str, source: str):
+    try:
+        return _TYPES[key](value)
+    except ValueError:
+        raise ConfigError(f"{source} key {key!r}: cannot parse {value!r} "
+                          f"as {_TYPES[key].__name__}") from None
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < command-line flags, with typed validation."""
     resolved = dict(_TRAIN_DEFAULTS)
@@ -87,11 +96,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, value in _read_config_file(args.config).items():
             if key not in resolved:
                 raise ConfigError(f"unknown config key {key!r}")
-            try:
-                resolved[key] = _TYPES[key](value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {value!r} "
-                                  f"as {_TYPES[key].__name__}") from None
+            resolved[key] = _typed(key, value, "config")
     for key in resolved:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -223,15 +228,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = training.Checkpoint.load(args.checkpoint)
+    _, cfg = training.params_from_checkpoint(ckpt)  # rejects a bad echo up front
     res = dict(_TRAIN_DEFAULTS)
-    res.update({k: _TYPES[k](v) for k, v in ckpt.config.items() if k in _TYPES})
+    res.update({k: _typed(k, v, "checkpoint config")
+                for k, v in ckpt.config.items() if k in _TYPES})
     for key in ("data", "target", "timestamp_column", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
             res[key] = flag
     # window geometry always comes from the checkpoint echo
-    res["lh"] = int(ckpt.config["l_h"])
-    res["lf"] = int(ckpt.config["l_f"])
+    res["lh"], res["lf"] = cfg.l_h, cfg.l_f
     _, _, test_w = _load_windows(res)
     metrics = training.evaluate(ckpt, test_w)
     out_dir = Path(res["out"])
@@ -446,9 +452,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _route_library_logs() -> None:
+    """Send ``tpgn.*`` INFO records to the current stderr.
+
+    The handler is replaced on every call, so an in-process caller whose
+    stderr changed between calls never writes to a stale stream.
+    """
+    lib = logging.getLogger("tpgn")
+    for old in [h for h in lib.handlers if h.get_name() == "tpgn-cli"]:
+        lib.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("tpgn-cli")
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    lib.addHandler(handler)
+    lib.setLevel(logging.INFO)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _route_library_logs()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -8,8 +8,9 @@ value and the remaining channels are calendar features.
 Two branches read the grid:
 
 * long branch - each of the P grid columns is a length-R sequence sampled
-  one period apart; the parallel gated cell (weights shared across
-  columns) turns it into R hidden states, which a shared length-R weight
+  one period apart; the long-branch cell (the parallel gated cell, or a
+  GRU/LSTM/MLP from the cell table, weights shared across columns) turns
+  it into R hidden states, which a shared length-R weight
   vector collapses to one vector per column -> [P, hidden].
 * short branch - each grid row (one full period) is flattened and mapped
   to a patch vector; a second length-R weight vector collapses the
@@ -25,7 +26,8 @@ Everything here is pure in (window, params); batched entry points stack
 many windows into the same handful of matrix products.  There is one
 forward over a grid tensor [B, R, P, c]: training, evaluation and the
 benchmark feed it constant grids, and the depth probe feeds it a tracked
-one.
+one.  The parameters hold only the weights their variant uses, and the
+variant is read off them.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines
-from .autodiff import Graph, Tensor
+from .autodiff import Graph, ParamSet, Tensor, fan_in_uniform
 from .errors import ConfigError, ContractError, DimensionError
-from .pgn import PgnParams, pgn_apply
 
 __all__ = [
     "SeriesWindow",
@@ -117,7 +118,7 @@ class NormStats:
     norm: int
 
 
-_LONG_KINDS = ("pgn", "gru", "lstm", "mlp", "off")
+_LONG_KINDS = (*baselines.CELLS, "off")
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,10 @@ class TpgnVariant:
         if self.long_branch == "off" and not self.short_branch:
             raise ConfigError("at least one branch must be active")
 
+    def __str__(self) -> str:
+        return (f"long-branch cell {self.long_branch}, short branch "
+                f"{'on' if self.short_branch else 'off'}")
+
 
 VARIANTS = {
     "full": TpgnVariant("pgn", True),
@@ -146,11 +151,12 @@ VARIANTS = {
 
 
 @dataclass
-class TpgnParams:
-    """All weights of the forecaster plus its structural sizes.
+class TpgnParams(ParamSet):
+    """The forecaster's live weights plus its structural sizes.
 
-    ``cell`` holds the alternative long-branch cell for the gru/lstm/mlp
-    variants and stays None for the gated-cell default.
+    ``cell`` (any kind in :data:`baselines.CELLS`) and ``long_w``/``long_b``
+    exist only when the long branch runs, ``row_*``/``col_*`` only when the
+    short branch runs; :attr:`variant` is read off which are present.
     """
 
     rows: int          # R, periods in the history
@@ -158,22 +164,22 @@ class TpgnParams:
     channels: int      # c = 1 + C_time
     hidden: int        # d_m
     horizon_rows: int  # R_f, future periods; L_f = R_f * P
-    pgn: PgnParams
-    long_w: np.ndarray   # [R], shared across columns and channels
-    long_b: np.ndarray   # scalar
-    row_w: np.ndarray    # [hidden, P*c]
-    row_b: np.ndarray    # [hidden]
-    col_w: np.ndarray    # [R]
-    col_b: np.ndarray    # scalar
-    head_w: np.ndarray   # [R_f, 2*hidden], or [P, R_f, 2*hidden] per-phase
-    head_b: np.ndarray   # [R_f], or [P, R_f] per-phase
+    head_w: np.ndarray = None  # [R_f, 2*hidden], or [P, R_f, 2*hidden] per-phase
+    head_b: np.ndarray = None  # [R_f], or [P, R_f] per-phase
     head_shared: bool = True
-    cell: "baselines.GruParams | baselines.LstmParams | baselines.MlpParams | None" = None
+    cell: ParamSet | None = None
+    long_w: np.ndarray | None = None  # [R], shared across columns and channels
+    long_b: np.ndarray | None = None  # scalar
+    row_w: np.ndarray | None = None   # [hidden, P*c]
+    row_b: np.ndarray | None = None   # [hidden]
+    col_w: np.ndarray | None = None   # [R]
+    col_b: np.ndarray | None = None   # scalar
 
     @classmethod
     def init(cls, l_h: int, l_f: int, period: int, c_time: int, hidden: int,
              rng: np.random.Generator, variant: TpgnVariant = VARIANTS["full"],
              head_shared: bool = True) -> "TpgnParams":
+        """Draw the live weights in one order: head, cell, long, row, col."""
         if period < 1:
             raise ConfigError(f"period must be positive, got {period}")
         if l_h % period:
@@ -184,63 +190,53 @@ class TpgnParams:
         if rows < 2:
             raise ConfigError(
                 f"history must span at least 2 periods, got {rows} (l_h={l_h}, P={period})")
+        if c_time < 0 or hidden < 1:
+            raise ConfigError(f"need c_time >= 0 and hidden >= 1, got {c_time}, {hidden}")
         channels = 1 + c_time
-        horizon_rows = l_f // period
+        params = cls(rows, period, channels, hidden, l_f // period,
+                     head_shared=head_shared)
+        head = params.shapes()["head_w"]
+        params.head_w, params.head_b = fan_in_uniform(rng, *head), np.zeros(head[:-1])
+        if variant.long_branch != "off":
+            params.cell = baselines.new_cell(variant.long_branch, rows, channels,
+                                             hidden, rng)
+            params.long_w, params.long_b = fan_in_uniform(rng, rows), np.zeros(())
+        if variant.short_branch:
+            params.row_w = fan_in_uniform(rng, hidden, period * channels)
+            params.row_b = np.zeros(hidden)
+            params.col_w, params.col_b = fan_in_uniform(rng, rows), np.zeros(())
+        return params
 
-        def u(rws, cols):
-            bound = 1.0 / np.sqrt(cols)
-            return rng.uniform(-bound, bound, size=(rws, cols))
-
-        cell: object | None = None
-        if variant.long_branch == "gru":
-            cell = baselines.GruParams.init(channels, hidden, rng)
-        elif variant.long_branch == "lstm":
-            cell = baselines.LstmParams.init(channels, hidden, rng)
-        elif variant.long_branch == "mlp":
-            cell = baselines.MlpParams.init(channels, hidden, rng)
-        if head_shared:
-            head_w = u(horizon_rows, 2 * hidden)
-            head_b = np.zeros(horizon_rows)
-        else:
-            head_w = np.stack([u(horizon_rows, 2 * hidden) for _ in range(period)])
-            head_b = np.zeros((period, horizon_rows))
-        return cls(
-            rows=rows, period=period, channels=channels, hidden=hidden,
-            horizon_rows=horizon_rows,
-            pgn=PgnParams.init(rows, channels, hidden, rng),
-            long_w=u(1, rows)[0], long_b=np.zeros(()),
-            row_w=u(hidden, period * channels), row_b=np.zeros(hidden),
-            col_w=u(1, rows)[0], col_b=np.zeros(()),
-            head_w=head_w, head_b=head_b, head_shared=head_shared,
-            cell=cell,
-        )
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        head = (self.horizon_rows, 2 * self.hidden)
+        if not self.head_shared:
+            head = (self.period, *head)
+        out = {"head_w": head, "head_b": head[:-1]}
+        if self.cell is not None:
+            out.update({f"cell.{k}": v for k, v in self.cell.shapes().items()})
+            out.update(long_w=(self.rows,), long_b=())
+        if self.row_w is not None:
+            out.update(row_w=(self.hidden, self.period * self.channels),
+                       row_b=(self.hidden,), col_w=(self.rows,), col_b=())
+        return out
 
     def validate(self) -> None:
-        self.pgn.validate()
-        if (self.pgn.seq_len, self.pgn.in_channels, self.pgn.hidden) != (
-                self.rows, self.channels, self.hidden):
+        super().validate()
+        grid = {"seq_len": self.rows, "in_channels": self.channels, "hidden": self.hidden}
+        if self.cell is not None and any(getattr(self.cell, k, v) != v
+                                         for k, v in grid.items()):
             raise DimensionError("cell sizes disagree with the grid structure")
-        if self.head_shared:
-            head_shapes = {"head_w": (self.horizon_rows, 2 * self.hidden),
-                           "head_b": (self.horizon_rows,)}
-        else:
-            head_shapes = {"head_w": (self.period, self.horizon_rows, 2 * self.hidden),
-                           "head_b": (self.period, self.horizon_rows)}
-        expected = {
-            "long_w": (self.rows,), "long_b": (),
-            "row_w": (self.hidden, self.period * self.channels),
-            "row_b": (self.hidden,),
-            "col_w": (self.rows,), "col_b": (),
-            **head_shapes,
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ContractError(f"{name} contains non-finite entries")
-        if self.cell is not None:
-            self.cell.validate()
+        live = self.shapes()
+        # row_w is not listed: its presence is what turns the short branch on
+        for name in ("long_w", "long_b", "row_b", "col_w", "col_b"):
+            if getattr(self, name) is not None and name not in live:
+                raise DimensionError(f"{name} is set but its branch does not run")
+
+    @property
+    def variant(self) -> TpgnVariant:
+        """The variant these weights implement."""
+        kind = "off" if self.cell is None else baselines.cell_kind(self.cell)
+        return TpgnVariant(kind, self.row_w is not None)
 
     @property
     def l_h(self) -> int:
@@ -249,21 +245,6 @@ class TpgnParams:
     @property
     def l_f(self) -> int:
         return self.horizon_rows * self.period
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"pgn.{k}": v for k, v in self.pgn.named_arrays().items()}
-        for name in ("long_w", "long_b", "row_w", "row_b", "col_w", "col_b",
-                     "head_w", "head_b"):
-            out[name] = getattr(self, name)
-        if self.cell is not None:
-            out.update({f"cell.{k}": v for k, v in self.cell.named_arrays().items()})
-        return out
-
-    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
-        return {name: graph.leaf(arr) for name, arr in self.named_arrays().items()}
-
-    def constants(self) -> dict[str, Tensor]:
-        return {name: ad.constant(arr) for name, arr in self.named_arrays().items()}
 
 
 @dataclass
@@ -359,13 +340,7 @@ def _long_branch_batch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """[B, R, P, c] -> column summaries [B*P, hidden], rows (b, p)-major."""
     b, rows, period, c = grid.shape
     seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
-    if kind == "pgn":
-        out_all = pgn_apply(seqs, _cell_keys(w, "pgn.")).output
-    elif kind == "mlp":
-        out_all = baselines.mlp_step(ad.reshape(seqs, (b * period * rows, c)),
-                                     _cell_keys(w, "cell."))
-    else:
-        out_all = baselines.recurrent_forward(seqs, _cell_keys(w, "cell."), kind)
+    out_all = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
     return _collapse_rows(out_all, b * period, rows, w["long_w"], w["long_b"])
 
 
@@ -439,11 +414,14 @@ def _check_grid(grid: np.ndarray, params: TpgnParams) -> None:
 
 def long_branch(grid: np.ndarray, params: TpgnParams,
                 weights: dict[str, Tensor] | None = None) -> Tensor:
-    """Column summaries [P, hidden] of one grid (gated-cell long branch)."""
+    """Column summaries [P, hidden] of one grid through the model's cell."""
     params.validate()
     _check_grid(grid, params)
+    kind = params.variant.long_branch
+    if kind == "off":
+        raise ConfigError("this model has no long branch")
     w = params.constants() if weights is None else weights
-    out = _long_branch_batch(ad.constant(grid[None]), w, "pgn")
+    out = _long_branch_batch(ad.constant(grid[None]), w, kind)
     return ad.reshape(out, (params.period, params.hidden))
 
 
@@ -452,6 +430,8 @@ def short_branch(grid: np.ndarray, params: TpgnParams,
     """Global patch summary of one grid, repeated per column: [P, hidden]."""
     params.validate()
     _check_grid(grid, params)
+    if not params.variant.short_branch:
+        raise ConfigError("this model has no short branch")
     w = params.constants() if weights is None else weights
     out = _short_branch_batch(ad.constant(grid[None]), w)
     return ad.reshape(out, (params.period, params.hidden))
@@ -478,12 +458,9 @@ def _check_model(params: TpgnParams, cfg: TpgnConfig) -> None:
     if cfg.period != params.period:
         raise ConfigError(
             f"config period {cfg.period} does not match model period {params.period}")
-    kind = cfg.variant.long_branch
-    if kind in ("gru", "lstm", "mlp"):
-        wanted = {"gru": baselines.GruParams, "lstm": baselines.LstmParams,
-                  "mlp": baselines.MlpParams}[kind]
-        if not isinstance(params.cell, wanted):
-            raise ConfigError(f"variant {kind!r} needs matching cell parameters")
+    if cfg.variant != params.variant:
+        raise ConfigError(f"config variant ({cfg.variant}) does not match the "
+                          f"weights the model holds ({params.variant})")
 
 
 def tpgn_forward(window: SeriesWindow, params: TpgnParams, cfg: TpgnConfig,
@@ -534,7 +511,9 @@ class FlopCount:
 
 
 def flop_count(params: TpgnParams, l_h: int, l_f: int,
-               variant: TpgnVariant = VARIANTS["full"]) -> FlopCount:
+               variant: TpgnVariant | None = None) -> FlopCount:
+    """Cost of ``variant`` at the params' sizes; by default the params' own."""
+    variant = params.variant if variant is None else variant
     rows, period, c, d = params.rows, params.period, params.channels, params.hidden
     r_f = params.horizon_rows
     if rows * period != l_h or r_f * period != l_f:
@@ -544,23 +523,12 @@ def flop_count(params: TpgnParams, l_h: int, l_f: int,
 
     per_layer = 0
     long_total = 0
-    if variant.long_branch == "pgn":
-        hie_step = (rows - 1) * c * d
-        gate_step = (d + c) * d
-        long_total = period * (rows * hie_step + 2 * rows * gate_step)
-        per_layer += hie_step + 2 * gate_step
-    elif variant.long_branch == "gru":
-        long_total = period * baselines.gru_macs(rows, c, d)
-        per_layer += 3 * (c + d) * d
-    elif variant.long_branch == "lstm":
-        long_total = period * baselines.lstm_macs(rows, c, d)
-        per_layer += 4 * (c + d) * d
-    elif variant.long_branch == "mlp":
-        long_total = period * baselines.mlp_macs(rows, c, d)
-        per_layer += c * d + d * d
     if variant.long_branch != "off":
-        long_total += period * rows * d  # shared weighted sum over the R axis
-        per_layer += rows * d
+        # one cell pass per column, then the shared weighted sum over R;
+        # every cell costs the same at each of its R steps
+        cell_macs = baselines.CELLS[variant.long_branch].macs(rows, c, d)
+        long_total = period * cell_macs + period * rows * d
+        per_layer += cell_macs // rows + rows * d
 
     short_total = 0
     if variant.short_branch:
@@ -605,7 +573,7 @@ def finite_diff_all_params(window: SeriesWindow, params: TpgnParams,
     errors = {}
     for name in arrays:
         def f(t, _name=name):
-            w = {k: ad.constant(v) for k, v in arrays.items()}
+            w = params.constants()
             w[_name] = t
             out = tpgn_forward_batch([window], params, cfg, weights=w)
             return ad.reduce_sum(out)

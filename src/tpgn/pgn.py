@@ -14,8 +14,9 @@ other step's result: the whole sequence is one window-stacking, three
 affine maps and a gate, and the computation-graph depth from input to
 output does not grow with L.  :func:`pgn_apply` is the one implementation:
 it runs M independent sequences [M, L, c] through the same weights at
-once, and :func:`pgn_forward`, the model's long branch and the benchmark
-all call it.
+once.  :func:`pgn_forward` calls it for one sequence, and the model's long
+branch, the benchmark and the depth probe reach it through the cell table
+in :mod:`tpgn.baselines`.
 
 Window flattening is time-major with channels contiguous per step, and
 the gate concatenation puts the c input channels before the hidden state,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor
+from .autodiff import Graph, ParamSet, Tensor
 from .errors import ContractError, DimensionError
 
 __all__ = [
@@ -39,71 +40,33 @@ __all__ = [
     "pgn_apply",
     "pgn_forward",
     "pgn_forward_oracle",
-    "graph_depth",
     "pgn_macs",
 ]
 
 
 @dataclass
-class PgnParams:
+class PgnParams(ParamSet):
     """Weights of one cell: the history extractor and the two gate maps."""
 
     seq_len: int
     in_channels: int
     hidden: int
-    hie_w: np.ndarray   # [hidden, (seq_len-1)*in_channels]
-    hie_b: np.ndarray   # [hidden]
-    gate_w: np.ndarray  # [hidden, hidden+in_channels]
-    gate_b: np.ndarray  # [hidden]
-    cand_w: np.ndarray  # [hidden, hidden+in_channels]
-    cand_b: np.ndarray  # [hidden]
+    hie_w: np.ndarray = None
+    hie_b: np.ndarray = None
+    gate_w: np.ndarray = None
+    gate_b: np.ndarray = None
+    cand_w: np.ndarray = None
+    cand_b: np.ndarray = None
 
-    @classmethod
-    def init(cls, seq_len: int, in_channels: int, hidden: int,
-             rng: np.random.Generator) -> "PgnParams":
-        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-        if seq_len < 2:
-            raise ContractError(f"seq_len must be >= 2, got {seq_len}")
-        if in_channels < 1 or hidden < 1:
-            raise ContractError("in_channels and hidden must be positive")
-
-        def u(rows, cols):
-            bound = 1.0 / np.sqrt(cols)
-            return rng.uniform(-bound, bound, size=(rows, cols))
-
-        window = (seq_len - 1) * in_channels
-        gate_in = hidden + in_channels
-        return cls(
-            seq_len=seq_len, in_channels=in_channels, hidden=hidden,
-            hie_w=u(hidden, window), hie_b=np.zeros(hidden),
-            gate_w=u(hidden, gate_in), gate_b=np.zeros(hidden),
-            cand_w=u(hidden, gate_in), cand_b=np.zeros(hidden),
-        )
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.seq_len < 2:
             raise ContractError(f"seq_len must be >= 2, got {self.seq_len}")
-        window = (self.seq_len - 1) * self.in_channels
-        gate_in = self.hidden + self.in_channels
-        expected = {
-            "hie_w": (self.hidden, window), "hie_b": (self.hidden,),
-            "gate_w": (self.hidden, gate_in), "gate_b": (self.hidden,),
-            "cand_w": (self.hidden, gate_in), "cand_b": (self.hidden,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ContractError(f"{name} contains non-finite entries")
 
-    def leaf_into(self, graph: Graph) -> dict[str, Tensor]:
-        """Track every weight on ``graph``; keys match the field names."""
-        return {n: graph.leaf(a) for n, a in self.named_arrays().items()}
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        names = ("hie_w", "hie_b", "gate_w", "gate_b", "cand_w", "cand_b")
-        return {n: getattr(self, n) for n in names}
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        d, gate_in = self.hidden, self.hidden + self.in_channels
+        return {"hie_w": (d, (self.seq_len - 1) * self.in_channels), "hie_b": (d,),
+                "gate_w": (d, gate_in), "gate_b": (d,),
+                "cand_w": (d, gate_in), "cand_b": (d,)}
 
 
 @dataclass
@@ -150,8 +113,7 @@ def pgn_forward(x, params: PgnParams, graph: Graph | None = None) -> PgnOutput:
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
     if graph is None:
-        w = {k: ad.constant(v) for k, v in params.named_arrays().items()}
-        return pgn_apply(ad.constant(x[None]), w)
+        return pgn_apply(ad.constant(x[None]), params.constants())
     return pgn_apply(graph.leaf(x[None], op="input"), params.leaf_into(graph))
 
 
@@ -195,16 +157,3 @@ def pgn_macs(length: int, in_channels: int, hidden: int) -> int:
     gates = 2 * length * (hidden + in_channels) * hidden
     return hie + gates
 
-
-def graph_depth(params: PgnParams, x=None) -> int:
-    """Longest op chain from the input to the fused output on a fresh tape.
-
-    Constant in the sequence length: the cell has no step-to-step
-    recurrence, so the path length is a fixed property of the op pipeline.
-    """
-    if x is None:
-        x = np.zeros((params.seq_len, params.in_channels))
-    graph = Graph()
-    xt = graph.leaf(np.asarray(x, dtype=np.float64)[None], op="input")
-    out = pgn_apply(xt, params.leaf_into(graph))
-    return graph.longest_path(xt.node_id, out.output.node_id)

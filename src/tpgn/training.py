@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,9 +75,7 @@ class TrainConfig:
                           variant=VARIANTS[self.variant])
 
     def as_dict(self) -> dict[str, str]:
-        return {k: str(getattr(self, k)) for k in
-                ("lr", "batch_size", "max_epochs", "patience", "seed", "d_m",
-                 "norm", "period", "l_h", "l_f", "variant")}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -224,25 +222,38 @@ class Checkpoint:
         return cls(tensors=tensors, config=config, best_val_loss=best, epoch=epoch)
 
 
+def _echo_value(echo: dict[str, str], key: str, kind: type):
+    """One typed entry of a checkpoint's config echo."""
+    if key not in echo:
+        raise ConfigError(f"checkpoint config lacks {key!r}")
+    try:
+        return kind(echo[key])
+    except ValueError:
+        raise ConfigError(f"checkpoint config {key}={echo[key]!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[TpgnParams, TrainConfig]:
-    """Rebuild the model and its training config from a checkpoint echo."""
-    cfg = TrainConfig(
-        lr=float(ckpt.config["lr"]), batch_size=int(ckpt.config["batch_size"]),
-        max_epochs=int(ckpt.config["max_epochs"]), patience=int(ckpt.config["patience"]),
-        seed=int(ckpt.config["seed"]), d_m=int(ckpt.config["d_m"]),
-        norm=int(ckpt.config["norm"]), period=int(ckpt.config["period"]),
-        l_h=int(ckpt.config["l_h"]), l_f=int(ckpt.config["l_f"]),
-        variant=ckpt.config["variant"])
-    c_time = int(ckpt.config.get("c_time", "4"))
-    head_shared = ckpt.config.get("head_shared", "1") == "1"
-    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, c_time, cfg.d_m,
+    """Rebuild the model and its training config from a checkpoint echo.
+
+    A missing or garbled echo entry, or tensors that do not fit the echoed
+    structure, raise ConfigError naming the culprit.
+    """
+    cfg = TrainConfig(**{f.name: _echo_value(ckpt.config, f.name, type(f.default))
+                         for f in fields(TrainConfig)})
+    head_shared = _echo_value(ckpt.config, "head_shared", int)
+    if head_shared not in (0, 1):
+        raise ConfigError(f"checkpoint config head_shared must be 0 or 1, got {head_shared}")
+    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period,
+                             _echo_value(ckpt.config, "c_time", int), cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
-                             head_shared=head_shared)
+                             head_shared=bool(head_shared))
     arrays = params.named_arrays()
     if set(arrays) != set(ckpt.tensors):
         raise ConfigError(
-            f"checkpoint tensors {sorted(ckpt.tensors)} do not match the model "
-            f"structure {sorted(arrays)}")
+            f"checkpoint tensors do not match the model structure: missing "
+            f"{sorted(set(arrays) - set(ckpt.tensors))}, unexpected "
+            f"{sorted(set(ckpt.tensors) - set(arrays))}")
     for name, arr in arrays.items():
         stored = ckpt.tensors[name]
         if stored.shape != arr.shape:

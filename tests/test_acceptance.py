@@ -22,7 +22,7 @@ from tpgn.baselines import GruParams, sequence_graph_depth
 from tpgn.cli import main as cli_main
 from tpgn.model import (VARIANTS, TpgnConfig, TpgnParams,
                         finite_diff_all_params, tpgn_graph_depth)
-from tpgn.pgn import PgnParams, graph_depth, pgn_forward, pgn_forward_oracle
+from tpgn.pgn import PgnParams, pgn_forward, pgn_forward_oracle
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -74,7 +74,8 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_path_length():
     """Cell/model graph depth is flat in L; the recurrent chain is not."""
     rng = np.random.default_rng(1)
-    pgn_depths = [graph_depth(PgnParams.init(L, 1, 4, rng)) for L in (8, 64, 512)]
+    pgn_depths = [sequence_graph_depth(PgnParams.init(L, 1, 4, rng), L)
+                  for L in (8, 64, 512)]
     tpgn_depths = []
     for l_h in (8, 64, 512):
         params = TpgnParams.init(l_h, 8, 4, 1, 2, rng)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tpgn import autodiff as ad
-from tpgn.baselines import (GruParams, LstmParams, MlpParams, gru_forward_seq,
-                            gru_macs, lstm_forward_seq, lstm_macs, mlp_block,
-                            mlp_macs, sequence_graph_depth)
+from tpgn.baselines import (CELLS, GruParams, LstmParams, MlpParams, cell_forward,
+                            cell_kind, gru_macs, lstm_macs, mlp_macs, new_cell,
+                            sequence_graph_depth)
 
 
 def sigmoid(z):
@@ -16,7 +16,7 @@ def sigmoid(z):
 class TestGru:
     def test_zero_fixed_point(self):
         p = GruParams.init(2, 3, np.random.default_rng(0))
-        out = gru_forward_seq(np.zeros((5, 2)), p)
+        out = cell_forward(np.zeros((5, 2)), p)
         assert np.all(out.data == 0.0)  # zero biases keep the zero state
 
     def test_hand_recurrence(self):
@@ -35,17 +35,17 @@ class TestGru:
             n = np.tanh(p.cand_xw @ x[t] + p.cand_b + r * (p.cand_hw @ h))
             h = z * h + (1.0 - z) * n
             expected.append(h.copy())
-        out = gru_forward_seq(x, p)
+        out = cell_forward(x, p)
         assert np.allclose(out.data, np.stack(expected), atol=1e-12)
 
     def test_causality(self):
         rng = np.random.default_rng(2)
         p = GruParams.init(1, 3, rng)
         x = rng.uniform(-1, 1, (6, 1))
-        base = gru_forward_seq(x, p).data
+        base = cell_forward(x, p).data
         x2 = x.copy()
         x2[4, 0] += 1.0
-        bumped = gru_forward_seq(x2, p).data
+        bumped = cell_forward(x2, p).data
         assert np.array_equal(base[:4], bumped[:4])
         assert not np.allclose(base[4:], bumped[4:])
 
@@ -70,7 +70,7 @@ class TestGru:
 class TestLstm:
     def test_zero_fixed_point(self):
         p = LstmParams.init(2, 3, np.random.default_rng(4))
-        out = lstm_forward_seq(np.zeros((4, 2)), p)
+        out = cell_forward(np.zeros((4, 2)), p)
         assert np.all(out.data == 0.0)
 
     def test_hand_recurrence(self):
@@ -91,7 +91,7 @@ class TestLstm:
             c = f * c + i * g
             h = o * np.tanh(c)
             expected.append(h.copy())
-        out = lstm_forward_seq(x, p)
+        out = cell_forward(x, p)
         assert np.allclose(out.data, np.stack(expected), atol=1e-12)
 
     def test_causality(self):
@@ -100,8 +100,8 @@ class TestLstm:
         x = rng.uniform(-1, 1, (5, 1))
         x2 = x.copy()
         x2[3, 0] -= 0.5
-        assert np.array_equal(lstm_forward_seq(x, p).data[:3],
-                              lstm_forward_seq(x2, p).data[:3])
+        assert np.array_equal(cell_forward(x, p).data[:3],
+                              cell_forward(x2, p).data[:3])
 
     def test_gradient_check(self):
         rng = np.random.default_rng(7)
@@ -127,7 +127,7 @@ class TestMlp:
         p = MlpParams.init(2, 3, rng)
         p.b1[:] = rng.uniform(-1, 1, 3)
         p.b2[:] = rng.uniform(-1, 1, 3)
-        out = mlp_block(np.zeros((4, 2)), p)
+        out = cell_forward(np.zeros((4, 2)), p)
         expected = p.w2 @ np.tanh(p.b1) + p.b2
         assert np.allclose(out.data, np.tile(expected, (4, 1)), atol=1e-12)
 
@@ -137,7 +137,7 @@ class TestMlp:
         p.b1[:] = 0.1
         p.w2[:] = -1.5
         p.b2[:] = 0.3
-        out = mlp_block(np.array([[0.4]]), p)
+        out = cell_forward(np.array([[0.4]]), p)
         assert abs(out.data[0, 0] - (-1.5 * np.tanh(0.9) + 0.3)) < 1e-12
 
     def test_timestep_permutation_equivariance(self):
@@ -145,7 +145,7 @@ class TestMlp:
         p = MlpParams.init(2, 3, rng)
         x = rng.uniform(-1, 1, (6, 2))
         perm = rng.permutation(6)
-        assert np.array_equal(mlp_block(x[perm], p).data, mlp_block(x, p).data[perm])
+        assert np.array_equal(cell_forward(x[perm], p).data, cell_forward(x, p).data[perm])
 
     def test_gradient_check(self):
         rng = np.random.default_rng(11)
@@ -192,3 +192,19 @@ class TestStructure:
         assert gru_macs(10, 1, 4) == 10 * 3 * 5 * 4
         assert lstm_macs(10, 1, 4) == 10 * 4 * 5 * 4
         assert mlp_macs(10, 2, 4) == 10 * (8 + 16)
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("kind", sorted(CELLS))
+    def test_every_kind_builds_runs_and_costs(self, kind):
+        params = new_cell(kind, 6, 2, 3, np.random.default_rng(15))
+        assert cell_kind(params) == kind
+        x = np.random.default_rng(16).uniform(-1, 1, (6, 2))
+        assert cell_forward(x, params).shape == (6, 3)
+        assert CELLS[kind].macs(6, 2, 3) % 6 == 0  # the same cost at every step
+
+    def test_unknown_parameters_rejected(self):
+        from tpgn.errors import ContractError
+
+        with pytest.raises(ContractError, match="unsupported"):
+            cell_kind(object())

@@ -85,7 +85,7 @@ class TestSweep:
         assert len(records) == 4
         lines = path.read_text().splitlines()
         assert lines[0] == ("model,L_h,L_f,d_m,batch,time_ms_median,"
-                            "peak_bytes,macs,graph_depth")
+                            "forward_ms_median,peak_bytes,macs,graph_depth")
         assert len(lines) == 5
         assert lines[1].startswith("TPGN,48,48,8,2,")
 
@@ -103,6 +103,7 @@ class TestSweep:
         assert not records[0].ok and records[1].ok
         lines = path.read_text().splitlines()
         assert "failed" in lines[1]
+        assert lines[1].count(",") == lines[0].count(",")
         assert len(lines) == 3
 
 

@@ -137,6 +137,56 @@ class TestEval:
         assert "truncated" in capsys.readouterr().err
 
 
+def _rewrite_checkpoint(path, tensors=None, drop=(), **echo):
+    """Load, edit and save a checkpoint: rename tensors, drop or set echo keys."""
+    from tpgn.training import Checkpoint
+
+    ckpt = Checkpoint.load(path)
+    if tensors is not None:
+        ckpt.tensors = {tensors(k): v for k, v in ckpt.tensors.items()}
+    for key in drop:
+        del ckpt.config[key]
+    ckpt.config.update(echo)
+    ckpt.save(path)
+
+
+class TestBadCheckpointEcho:
+    @pytest.mark.parametrize("edit,named", [
+        (dict(drop=("lr",)), "lr"),
+        (dict(drop=("l_h",)), "l_h"),
+        (dict(drop=("c_time",)), "c_time"),
+        (dict(drop=("head_shared",)), "head_shared"),
+        (dict(d_m="x"), "d_m"),
+        (dict(head_shared="2"), "head_shared"),
+        # the earlier layout: the gated cell's weights under "pgn."
+        (dict(tensors=lambda k: k.replace("cell.", "pgn.")), "pgn.hie_w"),
+    ])
+    def test_exits_2_naming_the_culprit(self, tmp_path, capsys, edit, named):
+        data = run_synth(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(out), *FAST]) == 0
+        _rewrite_checkpoint(out / "checkpoint.tpgn", **edit)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.tpgn"),
+                     "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and named in err
+        assert "Traceback" not in err
+
+
+class TestLibraryLogging:
+    def test_interpolated_hours_reach_stderr(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:100] + lines[101:]) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(tmp_path / "run"), *FAST]) == 0
+        assert "interpolated 1 empty hours" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_logs(self, tmp_path):
         data = run_synth(tmp_path)
@@ -175,7 +225,7 @@ class TestBenchCommand:
         assert code == 0
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == ("model,L_h,L_f,d_m,batch,time_ms_median,"
-                            "peak_bytes,macs,graph_depth")
+                            "forward_ms_median,peak_bytes,macs,graph_depth")
         assert len(lines) > 1
 
 

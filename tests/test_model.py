@@ -90,7 +90,7 @@ class TestPrepareInput:
 class TestLongBranch:
     def test_zero_grid_gives_long_bias(self):
         params, _ = make_model(hidden=3)
-        for b in (params.pgn.hie_b, params.pgn.gate_b, params.pgn.cand_b):
+        for b in (params.cell.hie_b, params.cell.gate_b, params.cell.cand_b):
             b[:] = 0.0
         params.long_b = np.asarray(0.7)
         grid = np.zeros((2, 4, 2))
@@ -106,7 +106,7 @@ class TestLongBranch:
         arr = grid
         for p in range(4):
             col = arr[:, p, :]
-            cell = pgn_forward_oracle(col, params.pgn).output.data  # [R, d]
+            cell = pgn_forward_oracle(col, params.cell).output.data  # [R, d]
             expected = params.long_w @ cell + params.long_b
             assert np.max(np.abs(got[p] - expected)) < 1e-12
 
@@ -244,9 +244,9 @@ class TestTpgnForward:
                    np.mean((expected - w.y_true) ** 2)) == 0.0
 
     def test_long_off_equals_zeroed_long_branch(self):
-        params, _ = make_model(l_h=8, l_f=8, period=4, hidden=2, seed=20)
+        params, cfg_short = make_model(l_h=8, l_f=8, period=4, hidden=2, seed=20,
+                                       variant="short")
         w = make_window(8, 8, seed=21)
-        cfg_short = TpgnConfig(norm=0, period=4, variant=VARIANTS["short"])
         got = tpgn_forward(w, params, cfg_short).data
         grid, stats = prepare_input(w, 0, 4)
         h_short = short_branch(grid, params)
@@ -267,7 +267,7 @@ class TestTpgnForward:
         arr = np.concatenate([((x - mu) / sigma)[:, None], w.tf_enc], 1).reshape(2, 4, 2)
         h_long = np.empty((4, 2))
         for p in range(4):
-            cell = pgn_forward_oracle(arr[:, p, :], params.pgn).output.data
+            cell = pgn_forward_oracle(arr[:, p, :], params.cell).output.data
             h_long[p] = params.long_w @ cell + params.long_b
         patches = arr.reshape(2, 8) @ params.row_w.T + params.row_b
         h_global = params.col_w @ patches + params.col_b
@@ -369,6 +369,60 @@ class TestGradients:
         assert max(errors.values()) < 1e-5, errors
 
 
+class TestLiveWeights:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_tensor_gets_a_gradient(self, variant):
+        params, cfg = make_model(l_h=12, l_f=8, period=4, c_time=1, hidden=3,
+                                 seed=50, variant=variant)
+        windows = [make_window(12, 8, seed=s) for s in (51, 52, 53)]
+        g = ad.Graph()
+        leaves = params.leaf_into(g)
+        preds = tpgn_forward_batch(windows, params, cfg, weights=leaves)
+        diff = ad.sub(preds, ad.constant(np.stack([w.y_true for w in windows])))
+        grads = ad.backward(ad.reduce_mean(ad.mul(diff, diff)))
+        for name, leaf in leaves.items():
+            assert np.any(grads[leaf] != 0.0), f"{variant}: {name} is dead"
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_read_off_weights(self, variant):
+        params, _ = make_model(variant=variant)
+        assert params.variant == VARIANTS[variant]
+
+    def test_param_count_per_variant_by_hand(self):
+        # R=2, P=4, c=2, d=2, R_f=2
+        head = 2 * 4 + 2
+        gate = 2 * 4 + 2  # one [d, c+d] map and its bias
+        cells = {"pgn": 2 * 2 + 2 + 2 * gate,            # hie + gate + cand
+                 "gru": 2 * gate + 2 * 2 + 2 * 2 + 2,     # update, reset, cand x/h/b
+                 "lstm": 4 * gate,
+                 "mlp": 2 * 2 + 2 + 2 * 2 + 2}
+        long_agg = 2 + 1
+        short = 2 * 8 + 2 + 2 + 1
+        expected = {"full": head + cells["pgn"] + long_agg + short,
+                    "long": head + cells["pgn"] + long_agg,
+                    "short": head + short,
+                    **{k: head + cells[k] + long_agg + short
+                       for k in ("gru", "lstm", "mlp")}}
+        for variant, count in expected.items():
+            params, _ = make_model(l_h=8, l_f=8, period=4, c_time=1, hidden=2,
+                                   variant=variant)
+            assert param_count(params) == count, variant
+        assert len({expected["full"], expected["long"], expected["short"]}) == 3
+
+    def test_config_variant_must_match_weights(self):
+        params, _ = make_model(variant="short")
+        with pytest.raises(ConfigError, match="does not match"):
+            tpgn_forward(make_window(8, 8), params, TpgnConfig(norm=0, period=4))
+
+    def test_stray_weight_rejected(self):
+        from tpgn.errors import DimensionError
+
+        params, _ = make_model(variant="short")
+        params.long_w = np.zeros(2)
+        with pytest.raises(DimensionError, match="long_w"):
+            params.validate()
+
+
 class TestCostAccounting:
     def test_param_count_by_hand(self):
         # R=2, P=4, c=2, d=2, R_f=2
@@ -400,8 +454,8 @@ class TestCostAccounting:
         p2, _ = make_model(l_h=576, l_f=576, period=24, c_time=1, hidden=2)
         assert (p1.rows, p2.rows) == (12, 24)
         assert p2.row_w.shape[1] == 2 * p1.row_w.shape[1]
-        assert p1.pgn.hie_w.shape[1] == (12 - 1) * 2
-        assert p2.pgn.hie_w.shape[1] == (24 - 1) * 2
+        assert p1.cell.hie_w.shape[1] == (12 - 1) * 2
+        assert p2.cell.hie_w.shape[1] == (24 - 1) * 2
         assert p2.long_w.shape[0] == 2 * p1.long_w.shape[0]
 
     def test_totals_split_per_branch(self):
@@ -418,6 +472,22 @@ class TestCostAccounting:
         with pytest.raises(ConfigError):
             flop_count(params, 12, 8)
 
+    @pytest.mark.parametrize("variant", ["gru", "short"])
+    def test_default_variant_is_the_params_own(self, variant):
+        params, _ = make_model(l_h=168, l_f=168, period=24, c_time=4, hidden=32,
+                               variant=variant)
+        assert flop_count(params, 168, 168) == flop_count(params, 168, 168,
+                                                          VARIANTS[variant])
+        assert flop_count(params, 168, 168).total != \
+            flop_count(params, 168, 168, VARIANTS["full"]).total
+
+    def test_short_model_cost_by_hand(self):
+        # R=7, P=24, c=5, d=32, R_f=7: patches + column sum, then the head
+        params, _ = make_model(l_h=168, l_f=168, period=24, c_time=4, hidden=32,
+                               variant="short")
+        assert flop_count(params, 168, 168).total == \
+            7 * (24 * 5) * 32 + 7 * 32 + 24 * (2 * 32) * 7 == 37856
+
 
 class TestPerPhaseHead:
     def test_copies_of_shared_weights_match_shared_head(self):
@@ -428,8 +498,8 @@ class TestPerPhaseHead:
         # same non-head weights, every phase holding the shared head's map
         for name in ("long_w", "long_b", "row_w", "row_b", "col_w", "col_b"):
             getattr(per_phase, name)[...] = getattr(shared, name)
-        for name, arr in shared.pgn.named_arrays().items():
-            getattr(per_phase.pgn, name)[...] = arr
+        for name, arr in shared.cell.named_arrays().items():
+            getattr(per_phase.cell, name)[...] = arr
         per_phase.head_w[...] = np.broadcast_to(shared.head_w, (4, 2, 4))
         per_phase.head_b[...] = np.broadcast_to(shared.head_b, (4, 2))
         cfg = TpgnConfig(norm=0, period=4)

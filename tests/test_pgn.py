@@ -8,8 +8,8 @@ import pytest
 from tpgn import autodiff as ad
 from tpgn.baselines import GruParams, sequence_graph_depth
 from tpgn.errors import ContractError, DimensionError
-from tpgn.pgn import (PgnParams, graph_depth, pgn_apply, pgn_forward,
-                      pgn_forward_oracle, pgn_macs)
+from tpgn.pgn import (PgnParams, pgn_apply, pgn_forward, pgn_forward_oracle,
+                      pgn_macs)
 
 
 def make_params(seq_len, channels, hidden, seed=0):
@@ -183,11 +183,12 @@ class TestGradients:
 
 class TestGraphDepth:
     def test_constant_across_lengths(self):
-        depths = [graph_depth(make_params(L, 1, 4, seed=17)) for L in (8, 64, 512)]
+        depths = [sequence_graph_depth(make_params(L, 1, 4, seed=17), L)
+                  for L in (8, 64, 512)]
         assert depths[0] == depths[1] == depths[2]
 
     def test_reference_decomposition_is_shallow(self):
-        assert graph_depth(make_params(16, 1, 4)) <= 8
+        assert sequence_graph_depth(make_params(16, 1, 4), 16) <= 8
 
     def test_sequential_oracle_depth_grows_with_length(self):
         for L in (8, 32):

@@ -184,7 +184,7 @@ class TestEvaluate:
             arr[...] = 0.0
         params.head_b[:] = [2.0, -1.0]
         ckpt = Checkpoint(tensors=params.named_arrays(),
-                          config={**cfg.as_dict(), "c_time": "1"},
+                          config={**cfg.as_dict(), "c_time": "1", "head_shared": "1"},
                           best_val_loss=0.0, epoch=1)
         w = make_windows(1, seed=18)[0]
         pred = np.concatenate([np.full(4, 2.0), np.full(4, -1.0)])
@@ -198,7 +198,7 @@ class TestEvaluate:
         cfg = tiny_config()
         params = tiny_params(cfg)
         ckpt = Checkpoint(tensors=params.named_arrays(),
-                          config={**cfg.as_dict(), "c_time": "1"},
+                          config={**cfg.as_dict(), "c_time": "1", "head_shared": "1"},
                           best_val_loss=0.0, epoch=1)
         windows = make_windows(6, seed=19)
         a = evaluate(ckpt, windows)
