@@ -14,11 +14,11 @@ preparation off the tape for free.
 
 The tape also keeps a byte counter, which the benchmark harness reports
 as ``peak_bytes``.  It is not a peak: it sums the bytes of every array
-the tape has seen (plus gradient buffers), never decreases, and counts a
-reshape view again on top of its base.  Arrays are told apart by
-``id()`` plus a weak reference, so an id that CPython reuses after
-garbage collection cannot hide a new array, and identical steps report
-identical totals.
+the tape has seen plus the leaf gradients ``backward`` returns (not the
+intermediate gradients), never decreases, and counts a reshape view again
+on top of its base.  Arrays are told apart by ``id()`` plus a weak
+reference, so an id that CPython reuses after garbage collection cannot
+hide a new array, and identical steps report identical totals.
 """
 
 from __future__ import annotations
@@ -114,7 +114,11 @@ class Tensor:
 
 
 class _Node:
-    """One recorded primitive: kind, operand node ids, and its vjp."""
+    """One recorded primitive: kind, operand node ids, and its vjp.
+
+    The vjp maps the output gradient to one entry per operand, ``None``
+    for an operand that was untracked when the node was recorded.
+    """
 
     __slots__ = ("op", "parents", "vjp", "shape")
 
@@ -297,9 +301,10 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     value = a.data @ b.data
     ad, bd = a.data, b.data
+    need_a, need_b = a.tracked, b.tracked
 
     def vjp(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T if need_a else None, ad.T @ g if need_b else None)
 
     return _emit("matmul", (a, b), value, vjp)
 
@@ -309,21 +314,25 @@ def _elementwise(op: str, a, b) -> Tensor:
     _check_broadcast(a, b, op)
     ad, bd = a.data, b.data
     ashape, bshape = a.shape, b.shape
+    need_a, need_b = a.tracked, b.tracked
     if op == "add":
         value = ad + bd
 
         def vjp(g):
-            return (_unbroadcast(g, ashape), _unbroadcast(g, bshape))
+            return (_unbroadcast(g, ashape) if need_a else None,
+                    _unbroadcast(g, bshape) if need_b else None)
     elif op == "sub":
         value = ad - bd
 
         def vjp(g):
-            return (_unbroadcast(g, ashape), _unbroadcast(-g, bshape))
+            return (_unbroadcast(g, ashape) if need_a else None,
+                    _unbroadcast(-g, bshape) if need_b else None)
     elif op == "mul":
         value = ad * bd
 
         def vjp(g):
-            return (_unbroadcast(g * bd, ashape), _unbroadcast(g * ad, bshape))
+            return (_unbroadcast(g * bd, ashape) if need_a else None,
+                    _unbroadcast(g * ad, bshape) if need_b else None)
     else:  # pragma: no cover - internal dispatch
         raise ContractError(f"unknown elementwise op {op!r}")
     return _emit(op, (a, b), value, vjp)
@@ -344,8 +353,15 @@ def mul(a, b) -> Tensor:
 def sigmoid(a) -> Tensor:
     """Logistic function, overflow-safe for any finite input."""
     a = _as_tensor(a)
-    e = np.exp(-np.abs(a.data))
-    value = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    x = a.data
+    # two scratch buffers, written in place: this runs on the model's
+    # largest activations, where every fresh buffer is pages to fault in
+    e, d = np.empty_like(x), np.empty_like(x)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.add(1.0, e, out=d)
+    np.divide(e, d, out=e)    # e / (1 + e), the value where x < 0
+    np.divide(1.0, d, out=d)  # 1 / (1 + e), the value where x >= 0
+    value = np.where(x >= 0, d, e)
 
     def vjp(g):
         return (g * value * (1.0 - value),)
@@ -379,13 +395,14 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     value = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
+    needs = [t.tracked for t in ts]
 
     def vjp(g):
         sl = [slice(None)] * rank
         out = []
-        for i in range(len(sizes)):
+        for i, need in enumerate(needs):
             sl[axis] = slice(offsets[i], offsets[i + 1])
-            out.append(g[tuple(sl)])
+            out.append(g[tuple(sl)] if need else None)
         return tuple(out)
 
     return _emit("concat", ts, value, vjp)
@@ -506,11 +523,14 @@ def linear(x, w, b) -> Tensor:
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise DimensionError(
             f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    value = x.data @ w.data.T + b.data
+    value = x.data @ w.data.T
+    value += b.data
     xd, wd = x.data, w.data
+    need_x, need_w, need_b = x.tracked, w.tracked, b.tracked
 
     def vjp(g):
-        return (g @ wd, g.T @ xd, g.sum(axis=0))
+        return (g @ wd if need_x else None, g.T @ xd if need_w else None,
+                g.sum(axis=0) if need_b else None)
 
     return _emit("linear", (x, w, b), value, vjp)
 
@@ -522,10 +542,15 @@ def lerp(gate, a, b) -> Tensor:
         raise DimensionError(
             f"lerp needs equal shapes, got {gate.shape}, {a.shape}, {b.shape}")
     gd, ad, bd = gate.data, a.data, b.data
-    value = gd * ad + (1.0 - gd) * bd
+    value = gd * ad
+    rest = 1.0 - gd
+    rest *= bd
+    value += rest  # gd*ad + (1-gd)*bd from two fresh buffers, not four
+    need_gate, need_a, need_b = gate.tracked, a.tracked, b.tracked
 
     def vjp(g):
-        return (g * (ad - bd), g * gd, g * (1.0 - gd))
+        return (g * (ad - bd) if need_gate else None, g * gd if need_a else None,
+                g * (1.0 - gd) if need_b else None)
 
     return _emit("lerp", (gate, a, b), value, vjp)
 
@@ -552,9 +577,14 @@ def repeat_rows(a, times: int) -> Tensor:
 def backward(root: Tensor) -> GradientMap:
     """Gradients of a scalar root w.r.t. every tracked leaf of its graph.
 
-    Walks the tape in reverse creation order; fan-out accumulates by
-    in-place summation in that fixed order, so results are deterministic.
-    Leaves the root never touched get explicit zero gradients.
+    Walks the tape in reverse creation order and sums fan-out in that fixed
+    order, so results are deterministic.  A node's first contribution is
+    adopted as its gradient (copied only to make it C-contiguous); a second
+    one makes a fresh sum, and only such sums are added into in place, so
+    no forward value and no array a vjp handed to two parents is written.
+    Every leaf gets a writable, C-contiguous gradient of its own shape that
+    shares no memory with another leaf's; leaves the root never touched get
+    explicit zeros.
     """
     if not root.tracked:
         raise ContractError("backward root is not graph-tracked")
@@ -562,6 +592,7 @@ def backward(root: Tensor) -> GradientMap:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     graph = root.graph
     grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
+    summed: set[int] = set()  # nodes whose gradient is a buffer allocated here
     for nid in range(root.node_id, -1, -1):
         g = grads.get(nid)
         if g is None:
@@ -575,16 +606,27 @@ def backward(root: Tensor) -> GradientMap:
                 continue
             acc = grads.get(pid)
             if acc is None:
-                acc = np.zeros(graph.nodes[pid].shape, dtype=np.float64)
-                grads[pid] = acc
-            acc += pg
+                # asarray keeps a 0-d shape, which ascontiguousarray does not
+                grads[pid] = np.asarray(pg, order="C")
+            elif pid in summed:
+                acc += pg
+            else:
+                grads[pid] = np.asarray(acc + pg)  # 0-d sums come back as scalars
+                summed.add(pid)
     out: dict[int, np.ndarray] = {}
+    bases: set[int] = set()  # memory owners behind adopted leaf gradients
     for lid in graph.leaf_ids():
-        if lid in grads:
-            out[lid] = grads[lid]
-        else:
-            out[lid] = np.zeros(graph.nodes[lid].shape, dtype=np.float64)
-        graph._note_bytes(out[lid])
+        grad = grads.get(lid)
+        if grad is None:
+            grad = np.zeros(graph.nodes[lid].shape, dtype=np.float64)
+        elif lid not in summed:
+            base = grad if grad.base is None else grad.base
+            if id(base) in bases:
+                grad = grad.copy()
+            else:
+                bases.add(id(base))
+        out[lid] = grad
+        graph._note_bytes(grad)
     return GradientMap(out)
 
 

@@ -286,7 +286,11 @@ def cmd_bench(args) -> int:
 
 
 def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
-    """Finite-difference check of every differentiable primitive."""
+    """Finite-difference check of every differentiable primitive.
+
+    A case named ``op.operand`` differentiates that operand alone with the
+    others constant; every operand position of every op is checked once.
+    """
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (4, 3))
     m = rng.uniform(-1.0, 1.0, (3, 5))
@@ -299,29 +303,43 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
     c_perm = rng.uniform(-1, 1, (3, 4))
     c_win = rng.uniform(-1, 1, (6, 4))
     c_rep = rng.uniform(-1, 1, (12, 3))
+    c_lin = rng.uniform(-1, 1, (4, 2))
+    c_cat = rng.uniform(-1, 1, (8, 3))
+    cx, cm, cw, cb, co = (ad.constant(v) for v in (x, m, w, b, other))
     cases = {
-        "matmul": lambda t: ad.reduce_sum(ad.matmul(t, ad.constant(m))),
-        "add": lambda t: ad.reduce_sum(ad.add(t, ad.constant(other))),
-        "sub": lambda t: ad.reduce_sum(ad.sub(ad.constant(other), t)),
-        "mul": lambda t: ad.reduce_sum(ad.mul(t, ad.constant(other))),
-        "sigmoid": lambda t: ad.reduce_sum(ad.sigmoid(t)),
-        "tanh": lambda t: ad.reduce_sum(ad.tanh(t)),
-        "concat": lambda t: ad.reduce_sum(ad.concat([t, ad.constant(other)], axis=1)),
-        "reduce_sum": lambda t: ad.reduce_sum(ad.reduce_sum(t, axis=1)),
-        "reduce_mean": lambda t: ad.reduce_sum(ad.reduce_mean(t, axis=0)),
-        "reshape": lambda t: ad.reduce_sum(ad.mul(ad.reshape(t, (2, 6)),
-                                                  ad.constant(c_resh))),
-        "permute": lambda t: ad.reduce_sum(ad.mul(ad.permute(t, (1, 0)),
-                                                  ad.constant(c_perm))),
-        "slice_rows": lambda t: ad.reduce_sum(ad.slice_rows(t, 1, 3)),
-        "causal_windows": lambda t: ad.reduce_sum(
-            ad.mul(ad.causal_windows(ad.reshape(t, (2, 3, 2))), ad.constant(c_win))),
-        "linear": lambda t: ad.reduce_sum(ad.linear(t, ad.constant(w), ad.constant(b))),
-        "lerp": lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(t), t, ad.constant(other))),
-        "repeat_rows": lambda t: ad.reduce_sum(
-            ad.mul(ad.repeat_rows(t, 3), ad.constant(c_rep))),
+        "matmul": (lambda t: ad.reduce_sum(ad.matmul(t, cm)), x),
+        "matmul.b": (lambda t: ad.reduce_sum(ad.matmul(cx, t)), m),
+        "add": (lambda t: ad.reduce_sum(ad.add(t, co)), x),
+        "add.b": (lambda t: ad.reduce_sum(ad.add(co, t)), x),
+        "sub": (lambda t: ad.reduce_sum(ad.sub(co, t)), x),
+        "sub.a": (lambda t: ad.reduce_sum(ad.sub(t, co)), x),
+        "mul": (lambda t: ad.reduce_sum(ad.mul(t, co)), x),
+        "mul.b": (lambda t: ad.reduce_sum(ad.mul(co, t)), x),
+        "sigmoid": (lambda t: ad.reduce_sum(ad.sigmoid(t)), x),
+        "tanh": (lambda t: ad.reduce_sum(ad.tanh(t)), x),
+        "concat": (lambda t: ad.reduce_sum(ad.concat([t, co], axis=1)), x),
+        "concat.b": (lambda t: ad.reduce_sum(ad.mul(ad.concat([co, t], axis=0),
+                                                    ad.constant(c_cat))), x),
+        "reduce_sum": (lambda t: ad.reduce_sum(ad.reduce_sum(t, axis=1)), x),
+        "reduce_mean": (lambda t: ad.reduce_sum(ad.reduce_mean(t, axis=0)), x),
+        "reshape": (lambda t: ad.reduce_sum(ad.mul(ad.reshape(t, (2, 6)),
+                                                   ad.constant(c_resh))), x),
+        "permute": (lambda t: ad.reduce_sum(ad.mul(ad.permute(t, (1, 0)),
+                                                   ad.constant(c_perm))), x),
+        "slice_rows": (lambda t: ad.reduce_sum(ad.slice_rows(t, 1, 3)), x),
+        "causal_windows": (lambda t: ad.reduce_sum(ad.mul(
+            ad.causal_windows(ad.reshape(t, (2, 3, 2))), ad.constant(c_win))), x),
+        "linear": (lambda t: ad.reduce_sum(ad.linear(t, cw, cb)), x),
+        "linear.w": (lambda t: ad.reduce_sum(ad.mul(ad.linear(cx, t, cb),
+                                                    ad.constant(c_lin))), w),
+        "linear.b": (lambda t: ad.reduce_sum(ad.mul(ad.linear(cx, cw, t),
+                                                    ad.constant(c_lin))), b),
+        "lerp": (lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(t), t, co)), x),
+        "lerp.b": (lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(cx), co, t)), x),
+        "repeat_rows": (lambda t: ad.reduce_sum(ad.mul(ad.repeat_rows(t, 3),
+                                                       ad.constant(c_rep))), x),
     }
-    return {name: ad.finite_diff_check(f, x) for name, f in cases.items()}
+    return {name: ad.finite_diff_check(f, at) for name, (f, at) in cases.items()}
 
 
 def cmd_gradcheck(args) -> int:

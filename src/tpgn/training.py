@@ -12,8 +12,10 @@ norm=0 and norm=1 runs are directly comparable.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -149,24 +151,37 @@ class Checkpoint:
     epoch: int
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            for name in sorted(self.tensors):
-                # asarray keeps rank-0 arrays rank-0 (ascontiguousarray does not)
-                arr = np.asarray(self.tensors[name], dtype="<f8", order="C")
-                encoded = name.encode("utf-8")
-                fh.write(len(encoded).to_bytes(8, "little"))
-                fh.write(encoded)
-                fh.write(arr.ndim.to_bytes(8, "little"))
-                for dim in arr.shape:
-                    fh.write(int(dim).to_bytes(8, "little"))
-                fh.write(arr.tobytes())
-            fh.write((0).to_bytes(8, "little"))  # name_len = 0 ends the tensor list
-            lines = [f"{k}={v}" for k, v in sorted(self.config.items())]
-            lines.append(f"best_val_loss={self.best_val_loss!r}")
-            lines.append(f"epoch={self.epoch}")
-            # the final newline marks a complete file: truncation is detectable
-            fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+        """Write to a temporary file beside ``path``, then rename it over
+        ``path``: a save that fails leaves the previous file intact.  Nothing
+        is fsynced, so durability across a power loss is not claimed."""
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                self._write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _write(self, fh) -> None:
+        fh.write(CHECKPOINT_MAGIC)
+        for name in sorted(self.tensors):
+            # asarray keeps rank-0 arrays rank-0 (ascontiguousarray does not)
+            arr = np.asarray(self.tensors[name], dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(len(encoded).to_bytes(8, "little"))
+            fh.write(encoded)
+            fh.write(arr.ndim.to_bytes(8, "little"))
+            for dim in arr.shape:
+                fh.write(int(dim).to_bytes(8, "little"))
+            fh.write(arr.tobytes())
+        fh.write((0).to_bytes(8, "little"))  # name_len = 0 ends the tensor list
+        lines = [f"{k}={v}" for k, v in sorted(self.config.items())]
+        lines.append(f"best_val_loss={self.best_val_loss!r}")
+        lines.append(f"epoch={self.epoch}")
+        # the final newline marks a complete file: truncation is detectable
+        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

@@ -9,6 +9,29 @@ from tpgn import autodiff as ad
 from tpgn.errors import ContractError, DimensionError
 
 
+def _backward_leaves_clean(loss, tensors):
+    """Run backward twice on one tape and check what adoption must keep.
+
+    No forward value and no gradient returned by the first run may change;
+    every leaf gradient is C-contiguous, writable, leaf-shaped and shares
+    no memory with another.  Returns the second run's gradients.
+    """
+    values = [t.data.tobytes() for t in tensors]
+    first = ad.backward(loss)
+    kept = {nid: g.tobytes() for nid, g in first.items()}
+    second = ad.backward(loss)
+    assert [t.data.tobytes() for t in tensors] == values
+    assert {nid: g.tobytes() for nid, g in first.items()} == kept
+    grads = [g for _, g in first.items()] + [g for _, g in second.items()]
+    for nid, g in second.items():
+        assert g.flags.c_contiguous and g.flags.writeable
+        assert g.shape == loss.graph.nodes[nid].shape
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
+    return second
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -340,6 +363,99 @@ class TestBackward:
         with pytest.raises(ContractError, match="different graphs"):
             ad.add(a, b)
 
+    def test_one_array_handed_to_both_operands(self):
+        # add's vjp returns one array for both operands: of add(x, x), and of
+        # add(p, q), whose leaves must still get separate gradients
+        g = ad.Graph()
+        x = g.leaf(np.array([1.0, -2.0, 3.0]))
+        p = g.leaf(np.array([0.0, 4.0, -1.0]))
+        q = g.leaf(np.array([2.0, 2.0, 5.0]))
+        c = np.array([0.5, 2.0, -1.5])
+        s, t = ad.add(x, x), ad.add(p, q)
+        loss = ad.reduce_sum(ad.mul(ad.add(s, t), ad.constant(c)))
+        grads = _backward_leaves_clean(loss, [x, p, q, s, t, loss])
+        assert np.array_equal(grads[x], 2.0 * c)
+        assert np.array_equal(grads[p], c) and np.array_equal(grads[q], c)
+
+    def test_shared_array_adopted_then_added_to(self):
+        # both leaves adopt the array add's vjp returns; a then gets a second
+        # contribution, which must not land in b's gradient
+        g = ad.Graph()
+        a = g.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = g.leaf(np.array([[-1.0, 0.5], [2.0, 0.0]]))
+        c1 = np.array([[0.25, -1.0], [2.0, 3.0]])
+        c2 = np.array([[1.0, 1.5], [-0.5, 4.0]])
+        u = ad.mul(a, ad.constant(c2))  # recorded first, so reached last
+        s = ad.add(a, b)
+        loss = ad.reduce_sum(ad.add(ad.mul(s, ad.constant(c1)), u))
+        grads = _backward_leaves_clean(loss, [a, b, u, s, loss])
+        assert np.array_equal(grads[a], c1 + c2)
+        assert np.array_equal(grads[b], c1)
+
+    @pytest.mark.parametrize("via", ["reshape", "permute"])
+    def test_view_chain_then_second_contribution(self, via):
+        # h first adopts a view of a later node's gradient (contiguous after
+        # reshape, transposed after permute); its direct use adds to it last
+        rng = np.random.default_rng(3)
+        g = ad.Graph()
+        x = g.leaf(rng.uniform(-1, 1, (4, 6)))
+        c1 = rng.uniform(-1, 1, (4, 6))
+        c2 = rng.uniform(-1, 1, (6, 4))
+        h = ad.tanh(x)
+        direct = ad.mul(h, ad.constant(c1))  # recorded first, so reached last
+        if via == "reshape":
+            view, back = ad.reshape(ad.reshape(h, (2, 12)), (6, 4)), c2.reshape(4, 6)
+        else:
+            view, back = ad.reshape(ad.permute(h, (1, 0)), (6, 4)), c2.T
+        loss = ad.add(ad.reduce_sum(direct),
+                      ad.reduce_sum(ad.mul(view, ad.constant(c2))))
+        grads = _backward_leaves_clean(loss, [x, h, direct, view, loss])
+        expected = (1.0 - h.data * h.data) * (back + c1)
+        assert np.array_equal(grads[x], expected)
+
+    def test_transposed_view_adopted_contiguous(self):
+        g = ad.Graph()
+        x = g.leaf(np.arange(6.0).reshape(2, 3))
+        c = np.array([[1.0, -1.0], [2.0, 0.5], [3.0, 4.0]])
+        loss = ad.reduce_sum(ad.mul(ad.permute(x, (1, 0)), ad.constant(c)))
+        grads = _backward_leaves_clean(loss, [x, loss])
+        assert np.array_equal(grads[x], c.T)
+
+
+class TestNeedsGrad:
+    @pytest.mark.parametrize("norm", [0, 1])
+    @pytest.mark.parametrize("variant", ["full", "long", "short", "gru", "lstm", "mlp"])
+    def test_no_vjp_output_for_untracked_operands(self, variant, norm):
+        # e.g. the constant causal-window matrix fed to the history map: its
+        # g @ W would be the largest GEMM of a long-history backward
+        from tpgn.model import (VARIANTS, SeriesWindow, TpgnConfig, TpgnParams,
+                                tpgn_forward_batch)
+
+        rng = np.random.default_rng(4)
+        params = TpgnParams.init(168, 168, 24, 4, 32, rng, VARIANTS[variant])
+        windows = [SeriesWindow(x_1d=rng.uniform(-1, 1, 168),
+                                tf_enc=rng.uniform(-0.5, 0.5, (168, 4)),
+                                y_true=rng.uniform(-1, 1, 168)) for _ in range(2)]
+        graph = ad.Graph()
+        cfg = TpgnConfig(norm=norm, variant=VARIANTS[variant])
+        preds = tpgn_forward_batch(windows, params, cfg, weights=params.leaf_into(graph))
+        diff = ad.sub(preds, ad.constant(np.stack([w.y_true for w in windows])))
+        ad.reduce_mean(ad.mul(diff, diff))
+        untracked = 0
+        for node in graph.nodes:
+            if node.vjp is None:
+                continue
+            contributions = node.vjp(np.ones(node.shape))
+            assert len(contributions) == len(node.parents)
+            for pid, pg in zip(node.parents, contributions):
+                if pid is None:
+                    untracked += 1
+                    assert pg is None, f"{node.op} computed a gradient nobody reads"
+                else:
+                    # backward adopts contributions as they are
+                    assert pg.shape == graph.nodes[pid].shape, node.op
+        assert untracked > 0
+
 
 class TestFiniteDiff:
     def test_linear_function_is_exact(self):
@@ -369,6 +485,8 @@ class TestFiniteDiff:
 
         errors = _op_gradient_suite(seed=0)
         assert len(errors) >= 15
+        assert {"matmul.b", "add.b", "sub.a", "mul.b", "concat.b", "linear.w",
+                "linear.b", "lerp.b"} <= set(errors)
         worst = max(errors.values())
         assert worst < 1e-5, f"worst op error {worst}: {errors}"
 

@@ -38,3 +38,37 @@ def test_causal_windows_gradient(m, length, c, seed):
     err = ad.finite_diff_check(
         lambda t: ad.reduce_sum(ad.mul(ad.causal_windows(t), weight)), x)
     assert err <= 1e-9
+
+
+@st.composite
+def _broadcast_pair(draw):
+    """Two operand shapes that broadcast under the trailing-dimension rule."""
+    full = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+    def operand():
+        rank = draw(st.integers(1, len(full)))
+        return tuple(draw(st.sampled_from([n, 1])) for n in full[len(full) - rank:])
+
+    return operand(), operand()
+
+
+@SETTINGS
+@given(op=st.sampled_from([ad.add, ad.sub, ad.mul]), shapes=_broadcast_pair(),
+       tracked=st.sampled_from(["a", "b", "both"]), seed=st.integers(0, 2**32 - 1))
+def test_broadcasting_vjps(op, shapes, tracked, seed):
+    ashape, bshape = shapes
+    rng = np.random.default_rng(seed)
+    a0, b0 = rng.uniform(-1, 1, ashape), rng.uniform(-1, 1, bshape)
+    out_shape = np.broadcast_shapes(ashape, bshape)
+    weight = ad.constant(rng.uniform(-1, 1, out_shape))
+    na = a0.size if tracked != "b" else 0
+    point = np.concatenate([a0.ravel()[:na], b0.ravel() if tracked != "a" else []])
+
+    def f(t):
+        # the tracked operands are cut from one probe vector
+        a = ad.reshape(ad.slice_rows(t, 0, na), ashape) if na else ad.constant(a0)
+        b = (ad.reshape(ad.slice_rows(t, na, t.shape[0]), bshape) if tracked != "a"
+             else ad.constant(b0))
+        return ad.reduce_sum(ad.mul(op(a, b), weight))
+
+    assert ad.finite_diff_check(f, point) <= 1e-9

@@ -265,6 +265,19 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="corrupt"):
             Checkpoint.load(path)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(3.0)}, config={},
+                   best_val_loss=0.5, epoch=1).save(path)
+        before = path.read_bytes()
+        # "a" is written after the magic; the object tensor then fails to convert
+        bad = Checkpoint(tensors={"a": np.ones(2), "z": np.array([object()])},
+                         config={}, best_val_loss=0.25, epoch=2)
+        with pytest.raises(TypeError):
+            bad.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.tpgn"]
+
     def test_magic_string_checked(self, tmp_path):
         path = tmp_path / "junk.tpgn"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
