@@ -5,7 +5,7 @@ The library is organized bottom-up:
 * :mod:`tpgn.autodiff` - float64 tensors on a deterministic reverse-mode tape
 * :mod:`tpgn.pgn` - the parallel gated cell (constant-depth sequence model)
 * :mod:`tpgn.baselines` - GRU/LSTM/MLP cells and the table of every cell kind
-* :mod:`tpgn.model` - the two-branch forecaster over period-reshaped input
+* :mod:`tpgn.model` - the two-branch forecaster over batches of period grids
 * :mod:`tpgn.data` - CSV ingest, hourly aggregation, windowing, noise
 * :mod:`tpgn.training` - L2 loss, Adam, early stopping, checkpoints
 * :mod:`tpgn.bench` - wall-clock / memory / cost scaling measurements

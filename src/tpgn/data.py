@@ -102,6 +102,9 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSeries:
     """Parse one target column; empty cells become NaN (counted as missing).
 
+    Any other value cell must parse to a finite float: ``inf`` or an
+    overflowing literal such as ``1e999`` is a DataError naming the row.
+
     Rows are sorted by timestamp; an exact duplicate timestamp is an error
     since it would make the aggregation ambiguous.
     """
@@ -140,6 +143,9 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
                     raise DataError(
                         f"row {row_no}: cannot parse {target_column!r} value {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"row {row_no}: {target_column!r} value {cell!r} is not finite")
             rows.append((ts, value))
     if not rows:
         raise DataError(f"{path} has no data rows")

@@ -22,12 +22,14 @@ per phase when head sharing is off).  The resulting [P, R_f] grid is
 transposed and flattened so output index i = r_f*P + p, then
 de-normalized back to original units when normalization is on.
 
-Everything here is pure in (window, params); batched entry points stack
-many windows into the same handful of matrix products.  There is one
-forward over a grid tensor [B, R, P, c]: training, evaluation and the
-benchmark feed it constant grids, and the depth probe feeds it a tracked
-one.  The parameters hold only the weights their variant uses, and the
-variant is read off them.
+Everything here is pure in (windows, params) and batch-first:
+:func:`prepare_input` turns a batch of windows into one grid tensor
+[B, R, P, c] plus the batch's normalization stats, and the branches and
+the head each run the whole batch through the same handful of matrix
+products.  There is one forward over that tensor: training, evaluation
+and the benchmark feed it constant grids, and the depth probe feeds it a
+tracked one.  The parameters hold only the weights their variant uses,
+and the variant is read off them.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ SIGMA_FLOOR = 1e-5  # smallest sigma a history window is normalized with
 class SeriesWindow:
     """One training sample: history, calendar features and future targets.
 
-    Values are kept in original units; normalization happens per window in
-    :func:`prepare_input`.  ``y_times`` optionally carries the horizon
-    timestamps for prediction dumps.
+    Values are kept in original units; :func:`prepare_input` normalizes
+    each window's history by its own moments.  ``y_times`` optionally
+    carries the horizon timestamps for prediction dumps.
     """
 
     x_1d: np.ndarray    # [L_h]
@@ -111,11 +113,10 @@ class SeriesWindow:
 
 @dataclass
 class NormStats:
-    """Per-window normalization state (population moments over the history)."""
+    """Normalization state of a batch: population moments of each history."""
 
-    mu: float
-    sigma: float
-    norm: int
+    mu: np.ndarray     # [B]
+    sigma: np.ndarray  # [B], floored at SIGMA_FLOOR
 
 
 _LONG_KINDS = (*baselines.CELLS, "off")
@@ -265,60 +266,48 @@ class TpgnConfig:
 # ---------------------------------------------------------------------------
 # input preparation
 
-def prepare_input(window: SeriesWindow, norm: int, period: int,
-                  ) -> tuple[np.ndarray, NormStats]:
-    """Normalize the history and stack it into the [R, P, c] grid.
+def prepare_input(windows, norm: int, period: int,
+                  ) -> tuple[np.ndarray, NormStats | None]:
+    """Normalize each history and stack the batch into grids [B, R, P, c].
 
     The moments use the population divisor L_h.  Under norm=1 a constant
     or near-constant history (sigma below SIGMA_FLOOR) is normalized with
     sigma = SIGMA_FLOOR, so rounding noise stays near zero instead of being
-    blown up to unit scale; the event is logged.
+    blown up to unit scale; the number of such windows is logged.  Under
+    norm=0 the values pass through unchanged and the stats are None.
     """
     if norm not in (0, 1):
         raise ConfigError(f"norm must be 0 or 1, got {norm}")
-    l_h = window.l_h
+    if not windows:
+        raise ContractError("empty window batch")
+    try:
+        x = np.stack([w.x_1d for w in windows])     # [B, L_h]
+        tf = np.stack([w.tf_enc for w in windows])  # [B, L_h, C_time]
+    except ValueError:
+        raise ConfigError("windows of one batch differ in history length or "
+                          "time features") from None
+    batch, l_h = x.shape
     if period < 1 or l_h % period:
         raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
-    x = window.x_1d
-    mu = float(x.mean())
-    sigma = float(np.sqrt(((x - mu) ** 2).mean()))
+    stats = None
     if norm == 1:
-        if sigma < SIGMA_FLOOR:
-            logger.warning("near-constant history window (sigma=%g); normalizing "
-                           "with sigma=%g", sigma, SIGMA_FLOOR)
-            sigma = SIGMA_FLOOR
-        values = (x - mu) / sigma
-    else:
-        values = x
-    stacked = np.concatenate([values[:, None], window.tf_enc], axis=1)
-    grid = stacked.reshape(l_h // period, period, stacked.shape[1])
-    return grid, NormStats(mu=mu, sigma=sigma, norm=norm)
-
-
-def _grids_and_stats(windows, cfg: TpgnConfig, params: TpgnParams,
-                     ) -> tuple[np.ndarray, list[NormStats]]:
-    grids = []
-    stats = []
-    for w in windows:
-        if w.l_h != params.l_h or w.l_f != params.l_f:
-            raise ConfigError(
-                f"window lengths ({w.l_h}, {w.l_f}) do not match the model "
-                f"({params.l_h}, {params.l_f})")
-        if 1 + w.c_time != params.channels:
-            raise ConfigError(
-                f"window has {w.c_time} time features, model expects "
-                f"{params.channels - 1}")
-        grid, st = prepare_input(w, cfg.norm, cfg.period)
-        grids.append(grid)
-        stats.append(st)
-    return np.stack(grids), stats
+        mu = x.mean(axis=1)
+        sigma = np.sqrt(((x - mu[:, None]) ** 2).mean(axis=1))
+        flat = np.count_nonzero(sigma < SIGMA_FLOOR)
+        if flat:
+            logger.warning("%d of %d history windows are near-constant (sigma < %g); "
+                           "normalizing them with sigma=%g", flat, batch,
+                           SIGMA_FLOOR, SIGMA_FLOOR)
+        stats = NormStats(mu, np.maximum(sigma, SIGMA_FLOOR))
+        x = (x - mu[:, None]) / stats.sigma[:, None]
+    grids = np.concatenate([x[:, :, None], tf], axis=2)
+    return grids.reshape(batch, l_h // period, period, grids.shape[2]), stats
 
 
 # ---------------------------------------------------------------------------
-# branches (batched cores over a grid tensor [B, R, P, c]; the per-grid
-# public wrappers sit below).  The grid is constant for forecasting and a
-# tracked leaf for depth probing; on a constant grid the reshapes and
-# permutes that regroup it record nothing.
+# branches and head over a grid tensor [B, R, P, c].  The grid is constant
+# for forecasting and a tracked leaf for depth probing; on a constant grid
+# the reshapes and permutes that regroup it record nothing.
 
 def _cell_keys(w: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     cut = len(prefix)
@@ -336,16 +325,16 @@ def _collapse_rows(x: Tensor, groups: int, rows: int, weight: Tensor,
     return ad.add(ad.reshape(agg, (groups, d)), bias)
 
 
-def _long_branch_batch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
-    """[B, R, P, c] -> column summaries [B*P, hidden], rows (b, p)-major."""
+def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
+    """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major."""
     b, rows, period, c = grid.shape
     seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
     out_all = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
     return _collapse_rows(out_all, b * period, rows, w["long_w"], w["long_b"])
 
 
-def _short_branch_batch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
-    """[B, R, P, c] -> repeated global summaries [B*P, hidden]."""
+def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
+    """Global patch summary of each grid, repeated per column: [B*P, hidden]."""
     b, rows, period, c = grid.shape
     rows_flat = ad.reshape(grid, (b * rows, period * c))
     patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
@@ -353,10 +342,12 @@ def _short_branch_batch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
     return ad.repeat_rows(global_vec, period)
 
 
-def _head_batch(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
-                params: TpgnParams, stats: list[NormStats], norm: int,
-                batch: int) -> Tensor:
-    """Per-column forecasts, laid out so output index i = r_f*P + p."""
+def forecast_head(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
+                  params: TpgnParams, stats: NormStats | None, batch: int) -> Tensor:
+    """Branch outputs [B*P, hidden] -> forecasts [B, L_f], index i = r_f*P + p.
+
+    With ``stats`` the forecasts are de-normalized to sigma*y + mu per window.
+    """
     period, r_f, d = params.period, params.horizon_rows, params.hidden
     joint = ad.concat([h_long, h_rep], axis=1)  # [B*P, 2d]
     if params.head_shared:
@@ -377,81 +368,26 @@ def _head_batch(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
         y3 = ad.permute(ad.reshape(ad.concat(outs, axis=0),
                                    (period, batch, r_f)), (1, 2, 0))
     out = ad.reshape(y3, (batch, r_f * period))
-    if norm == 1:
-        sig = np.array([[s.sigma] for s in stats])
-        mu = np.array([[s.mu] for s in stats])
-        out = ad.add(ad.mul(out, ad.constant(sig)), ad.constant(mu))
+    if stats is not None:
+        out = ad.add(ad.mul(out, ad.constant(stats.sigma[:, None])),
+                     ad.constant(stats.mu[:, None]))
     return out
 
 
-def _forward_core(grid: Tensor, stats: list[NormStats],
-                  w: dict[str, Tensor], params: TpgnParams,
-                  cfg: TpgnConfig) -> Tensor:
+def _forward_core(grid: Tensor, stats: NormStats | None,
+                  w: dict[str, Tensor], params: TpgnParams) -> Tensor:
     """The model forward: grid [B, R, P, c] -> predictions [B, L_f]."""
     batch, _, period, _ = grid.shape
-    d = params.hidden
-    kind = cfg.variant.long_branch
-    if kind != "off":
-        h_long = _long_branch_batch(grid, w, kind)
-    else:
-        h_long = ad.constant(np.zeros((batch * period, d)))
-    if cfg.variant.short_branch:
-        h_rep = _short_branch_batch(grid, w)
-    else:
-        h_rep = ad.constant(np.zeros((batch * period, d)))
-    return _head_batch(h_long, h_rep, w, params, stats, cfg.norm, batch)
+    zeros = ad.constant(np.zeros((batch * period, params.hidden)))
+    variant = params.variant
+    kind = variant.long_branch
+    h_long = zeros if kind == "off" else long_branch(grid, w, kind)
+    h_rep = short_branch(grid, w) if variant.short_branch else zeros
+    return forecast_head(h_long, h_rep, w, params, stats, batch)
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-def _check_grid(grid: np.ndarray, params: TpgnParams) -> None:
-    if grid.shape != (params.rows, params.period, params.channels):
-        raise DimensionError(
-            f"grid shape {grid.shape} does not match the model structure "
-            f"({params.rows}, {params.period}, {params.channels})")
-
-
-def long_branch(grid: np.ndarray, params: TpgnParams,
-                weights: dict[str, Tensor] | None = None) -> Tensor:
-    """Column summaries [P, hidden] of one grid through the model's cell."""
-    params.validate()
-    _check_grid(grid, params)
-    kind = params.variant.long_branch
-    if kind == "off":
-        raise ConfigError("this model has no long branch")
-    w = params.constants() if weights is None else weights
-    out = _long_branch_batch(ad.constant(grid[None]), w, kind)
-    return ad.reshape(out, (params.period, params.hidden))
-
-
-def short_branch(grid: np.ndarray, params: TpgnParams,
-                 weights: dict[str, Tensor] | None = None) -> Tensor:
-    """Global patch summary of one grid, repeated per column: [P, hidden]."""
-    params.validate()
-    _check_grid(grid, params)
-    if not params.variant.short_branch:
-        raise ConfigError("this model has no short branch")
-    w = params.constants() if weights is None else weights
-    out = _short_branch_batch(ad.constant(grid[None]), w)
-    return ad.reshape(out, (params.period, params.hidden))
-
-
-def forecast_head(h_long: Tensor, h_global_rep: Tensor, params: TpgnParams,
-                  stats: NormStats,
-                  weights: dict[str, Tensor] | None = None) -> Tensor:
-    """Map branch outputs [P, hidden] each to the flat horizon [L_f]."""
-    params.validate()
-    if h_long.shape != (params.period, params.hidden):
-        raise ConfigError(
-            f"h_long shape {h_long.shape} does not match "
-            f"({params.period}, {params.hidden})")
-    if h_global_rep.shape != h_long.shape:
-        raise ConfigError("branch outputs disagree in shape")
-    w = params.constants() if weights is None else weights
-    out = _head_batch(h_long, h_global_rep, w, params, [stats], stats.norm, 1)
-    return ad.reshape(out, (params.l_f,))
-
 
 def _check_model(params: TpgnParams, cfg: TpgnConfig) -> None:
     params.validate()
@@ -477,12 +413,16 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
     Pass ``weights = params.leaf_into(graph)`` to make the pass
     differentiable; by default everything stays plain numpy.
     """
-    if not windows:
-        raise ContractError("empty window batch")
     _check_model(params, cfg)
+    grids, stats = prepare_input(windows, cfg.norm, cfg.period)
+    want = (params.rows, params.period, params.channels)
+    horizons = {w.l_f for w in windows}
+    if grids.shape[1:] != want or horizons != {params.l_f}:
+        raise ConfigError(
+            f"window lengths give grids of shape {grids.shape[1:]} and horizons "
+            f"{sorted(horizons)}; the model expects {want} and [{params.l_f}]")
     w = params.constants() if weights is None else weights
-    grids, stats = _grids_and_stats(windows, cfg, params)
-    return _forward_core(ad.constant(grids), stats, w, params, cfg)
+    return _forward_core(ad.constant(grids), stats, w, params)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +497,8 @@ def tpgn_graph_depth(params: TpgnParams, cfg: TpgnConfig | None = None) -> int:
     graph = Graph()
     grid = graph.leaf(np.zeros((1, params.rows, params.period, params.channels)),
                       op="input")
-    w = params.leaf_into(graph)
-    out = _forward_core(grid, [NormStats(0.0, 1.0, cfg.norm)], w, params, cfg)
+    stats = NormStats(np.zeros(1), np.ones(1)) if cfg.norm else None
+    out = _forward_core(grid, stats, params.leaf_into(graph), params)
     return graph.longest_path(grid.node_id, out.node_id)
 
 

@@ -40,6 +40,9 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"TPGN1"
 _EVAL_CHUNK = 512  # windows per untracked forward during evaluation
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -63,6 +66,8 @@ class TrainConfig:
                      "period", "l_h", "l_f"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr}")
         if self.patience > self.max_epochs:
             raise ConfigError(
                 f"patience {self.patience} exceeds max_epochs {self.max_epochs}")
@@ -87,9 +92,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, arrays: dict[str, np.ndarray]) -> "AdamState":
@@ -129,7 +131,7 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
     for name, theta in arrays.items():
@@ -138,7 +140,7 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / correction1
         v_hat = state.v[name] / correction2
-        theta -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -324,6 +326,12 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
     if not train_windows or not val_windows:
         raise ConfigError("training and validation window sets must be non-empty")
     params.validate()
+    # the checkpoint echoes cfg, so it must describe these weights
+    for name, have in (("l_h", params.l_h), ("l_f", params.l_f),
+                       ("period", params.period), ("d_m", params.hidden)):
+        if getattr(cfg, name) != have:
+            raise ConfigError(f"config {name}={getattr(cfg, name)} does not match "
+                              f"the model's {have}")
     mcfg = cfg.model_config()
     arrays = params.named_arrays()
     state = AdamState.init(arrays)

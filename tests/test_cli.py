@@ -102,6 +102,29 @@ class TestTrain:
         assert code == 4
         assert (out / "checkpoint.tpgn").exists()  # last good state kept
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2_before_training(self, tmp_path, capsys, lr):
+        data = run_synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(out), *FAST, "--lr", lr])
+        assert code == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
+
+    def test_non_finite_csv_value_exits_3(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        lines = data.read_text().splitlines()
+        stamp = lines[5].split(",")[0]
+        lines[5] = f"{stamp},inf"
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(tmp_path / "run"), *FAST])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error: row 6" in err and "not finite" in err
+
     def test_noise_flag_changes_training(self, tmp_path):
         data = run_synth(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -57,6 +57,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(p, "v")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "-Infinity"])
+    def test_non_finite_value_is_located(self, tmp_path, cell):
+        p = tmp_path / "a.csv"
+        p.write_text(f"date,v\n2021-01-01 00:00:00,1\n2021-01-01 01:00:00,{cell}\n")
+        with pytest.raises(DataError, match="row 3.*not finite"):
+            load_csv(p, "v")
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="no-such-file.csv"):
             load_csv("no-such-file.csv", "v")

@@ -21,6 +21,11 @@ def make_window(l_h, l_f, c_time=1, seed=0, x=None):
         y_true=rng.uniform(-1, 1, l_f))
 
 
+def one_grid(arr):
+    """A single [R, P, c] grid as a constant batch of one."""
+    return ad.constant(np.asarray(arr)[None])
+
+
 def make_model(l_h=8, l_f=8, period=4, c_time=1, hidden=2, seed=0, variant="full"):
     params = TpgnParams.init(l_h, l_f, period, c_time, hidden,
                              np.random.default_rng(seed), VARIANTS[variant])
@@ -32,28 +37,28 @@ class TestPrepareInput:
     def test_reshape_definition(self):
         w = SeriesWindow(x_1d=[1.0, 2.0, 3.0, 4.0], tf_enc=np.zeros((4, 0)),
                          y_true=[0.0, 0.0])
-        grid, stats = prepare_input(w, norm=0, period=2)
-        assert grid.shape == (2, 2, 1)
-        assert np.array_equal(grid[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
-        assert stats.norm == 0
+        grid, stats = prepare_input([w], norm=0, period=2)
+        assert grid.shape == (1, 2, 2, 1)
+        assert np.array_equal(grid[0, :, :, 0], [[1.0, 2.0], [3.0, 4.0]])
+        assert stats is None
 
     def test_grid_index_mapping(self):
         l_h, period = 12, 4
         w = SeriesWindow(x_1d=np.arange(12.0), tf_enc=np.zeros((12, 0)),
                          y_true=np.zeros(4))
-        grid, _ = prepare_input(w, norm=0, period=period)
+        grid, _ = prepare_input([w], norm=0, period=period)
         for r in range(3):
             for p in range(period):
-                assert grid[r, p, 0] == float(r * period + p)
+                assert grid[0, r, p, 0] == float(r * period + p)
 
     def test_normalization_moments(self):
         # mu = 2, population variance 2/3 for [1, 2, 3]
         w = SeriesWindow(x_1d=[1.0, 2.0, 3.0], tf_enc=np.zeros((3, 0)),
                          y_true=[0.0])
-        grid, stats = prepare_input(w, norm=1, period=1)
-        assert stats.mu == 2.0
-        assert abs(stats.sigma - np.sqrt(2.0 / 3.0)) < 1e-15
-        values = grid[:, 0, 0]
+        grid, stats = prepare_input([w], norm=1, period=1)
+        assert stats.mu[0] == 2.0
+        assert abs(stats.sigma[0] - np.sqrt(2.0 / 3.0)) < 1e-15
+        values = grid[0, :, 0, 0]
         root = np.sqrt(1.5)
         assert np.allclose(values, [-root, 0.0, root], atol=1e-12)
         assert abs(values.mean()) < 1e-9
@@ -62,29 +67,29 @@ class TestPrepareInput:
     def test_constant_series_uses_sigma_floor(self):
         w = SeriesWindow(x_1d=np.full(6, 4.2), tf_enc=np.zeros((6, 0)),
                          y_true=np.zeros(2))
-        grid, stats = prepare_input(w, norm=1, period=2)
-        assert np.all(grid[:, :, 0] == 0.0)
-        assert stats.sigma == 1e-5
+        grid, stats = prepare_input([w], norm=1, period=2)
+        assert np.all(grid[0, :, :, 0] == 0.0)
+        assert stats.sigma[0] == 1e-5
 
     def test_near_constant_series_uses_sigma_floor(self):
         # sigma ~ 3e-17 here: dividing by it would blow rounding noise up to +-1
         w = SeriesWindow(x_1d=np.full(168, 0.1), tf_enc=np.zeros((168, 0)),
                          y_true=np.zeros(24))
-        grid, stats = prepare_input(w, norm=1, period=24)
-        assert np.all(np.abs(grid[:, :, 0]) <= 1e-9)
-        assert stats.sigma == 1e-5
+        grid, stats = prepare_input([w], norm=1, period=24)
+        assert np.all(np.abs(grid[0, :, :, 0]) <= 1e-9)
+        assert stats.sigma[0] == 1e-5
 
     def test_time_features_ride_along_unnormalized(self):
         rng = np.random.default_rng(1)
         tf = rng.uniform(-0.5, 0.5, (4, 2))
         w = SeriesWindow(x_1d=[10.0, 20.0, 30.0, 40.0], tf_enc=tf, y_true=[0.0, 0.0])
-        grid, _ = prepare_input(w, norm=1, period=2)
-        assert np.array_equal(grid[:, :, 1:].reshape(4, 2), tf)
+        grid, _ = prepare_input([w], norm=1, period=2)
+        assert np.array_equal(grid[0, :, :, 1:].reshape(4, 2), tf)
 
     def test_indivisible_length_rejected(self):
         w = SeriesWindow(x_1d=np.zeros(5), tf_enc=np.zeros((5, 0)), y_true=[0.0])
         with pytest.raises(ConfigError, match="multiple"):
-            prepare_input(w, norm=0, period=2)
+            prepare_input([w], norm=0, period=2)
 
 
 class TestLongBranch:
@@ -94,16 +99,16 @@ class TestLongBranch:
             b[:] = 0.0
         params.long_b = np.asarray(0.7)
         grid = np.zeros((2, 4, 2))
-        out = long_branch(grid, params)
+        out = long_branch(one_grid(grid), params.constants(), "pgn")
         assert np.allclose(out.data, 0.7, atol=0)
 
     def test_matches_composed_oracles(self):
         # per-column gated-cell oracle followed by an explicit weighted sum
         params, cfg = make_model(l_h=12, l_f=8, period=4, c_time=2, hidden=3, seed=2)
         w = make_window(12, 8, c_time=2, seed=3)
-        grid, _ = prepare_input(w, 0, 4)
-        got = long_branch(grid, params).data
-        arr = grid
+        grid, _ = prepare_input([w], 0, 4)
+        got = long_branch(ad.constant(grid), params.constants(), "pgn").data
+        arr = grid[0]
         for p in range(4):
             col = arr[:, p, :]
             cell = pgn_forward_oracle(col, params.cell).output.data  # [R, d]
@@ -116,18 +121,18 @@ class TestLongBranch:
         arr = rng.uniform(-1, 1, (3, 4, 2))
         swapped = arr.copy()
         swapped[:, [1, 2], :] = swapped[:, [2, 1], :]
-        a = long_branch(arr, params).data
-        b = long_branch(swapped, params).data
+        a = long_branch(one_grid(arr), params.constants(), "pgn").data
+        b = long_branch(one_grid(swapped), params.constants(), "pgn").data
         assert np.array_equal(a[[2, 1]], b[[1, 2]])
 
     def test_column_independence(self):
         params, _ = make_model(l_h=12, l_f=8, period=4, hidden=2, seed=6)
         rng = np.random.default_rng(7)
         arr = rng.uniform(-1, 1, (3, 4, 2))
-        base = long_branch(arr, params).data
+        base = long_branch(one_grid(arr), params.constants(), "pgn").data
         zeroed = arr.copy()
         zeroed[:, 2, :] = 0.0
-        out = long_branch(zeroed, params).data
+        out = long_branch(one_grid(zeroed), params.constants(), "pgn").data
         for q in range(4):
             if q == 2:
                 continue
@@ -139,7 +144,7 @@ class TestShortBranch:
         params, _ = make_model(hidden=3)
         params.row_b[:] = 0.0
         params.col_b = np.asarray(0.0)
-        out = short_branch(np.zeros((2, 4, 2)), params)
+        out = short_branch(one_grid(np.zeros((2, 4, 2))), params.constants())
         assert np.all(out.data == 0.0)
 
     def test_single_row_weight_selects_patch(self):
@@ -150,7 +155,7 @@ class TestShortBranch:
         params.col_b = np.asarray(0.25)
         rng = np.random.default_rng(9)
         arr = rng.uniform(-1, 1, (2, 4, 2))
-        out = short_branch(arr, params).data
+        out = short_branch(one_grid(arr), params.constants()).data
         patch0 = params.row_w @ arr[0].reshape(-1) + params.row_b
         expected = alpha * patch0 + 0.25
         for p in range(4):
@@ -160,7 +165,7 @@ class TestShortBranch:
         params, _ = make_model(l_h=4, l_f=4, period=2, c_time=0, hidden=1, seed=10)
         rng = np.random.default_rng(11)
         arr = rng.uniform(-1, 1, (2, 2, 1))
-        got = short_branch(arr, params).data
+        got = short_branch(one_grid(arr), params.constants()).data
         patches = arr.reshape(2, 2) @ params.row_w.T + params.row_b  # [R, d]
         global_vec = params.col_w @ patches + params.col_b
         assert np.allclose(got, np.tile(global_vec, (2, 1)), atol=1e-12)
@@ -175,7 +180,7 @@ class TestShortBranch:
         params.col_b = np.asarray(0.0)
         arr = np.zeros((2, 2, 2))
         arr[0, 1, 1] = 5.0
-        out = short_branch(arr, params).data
+        out = short_branch(one_grid(arr), params.constants()).data
         assert np.allclose(out, 5.0, atol=0)
 
 
@@ -186,7 +191,7 @@ class TestForecastHead:
         beta = np.array([1.5, -2.5])
         params.head_b = beta
         h = ad.constant(np.zeros((4, 2)))
-        out = forecast_head(h, h, params, NormStats(0.0, 1.0, 0)).data
+        out = forecast_head(h, h, params.constants(), params, None, 1).data[0]
         for i in range(8):
             r_f, p = divmod(i, 4)
             assert out[i] == beta[r_f]
@@ -201,7 +206,7 @@ class TestForecastHead:
         params.head_w[1, :2] = [b, d]
         h_long = ad.constant(np.eye(2))  # one-hot per column
         h_rep = ad.constant(np.zeros((2, 2)))
-        out = forecast_head(h_long, h_rep, params, NormStats(0.0, 1.0, 0)).data
+        out = forecast_head(h_long, h_rep, params.constants(), params, None, 1).data[0]
         assert np.array_equal(out, [a, c, b, d])
 
     @pytest.mark.parametrize("r_f,p", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -213,7 +218,7 @@ class TestForecastHead:
         params.head_w[r_f, p] = 1.0
         h_long = ad.constant(np.eye(2))
         h_rep = ad.constant(np.zeros((2, 2)))
-        out = forecast_head(h_long, h_rep, params, NormStats(0.0, 1.0, 0)).data
+        out = forecast_head(h_long, h_rep, params.constants(), params, None, 1).data[0]
         expected = np.zeros(4)
         expected[r_f * 2 + p] = 1.0
         assert np.array_equal(out, expected)
@@ -223,8 +228,10 @@ class TestForecastHead:
         rng = np.random.default_rng(17)
         h_long = ad.constant(rng.uniform(-1, 1, (4, 2)))
         h_rep = ad.constant(rng.uniform(-1, 1, (4, 2)))
-        raw = forecast_head(h_long, h_rep, params, NormStats(0.0, 1.0, 0)).data
-        denormed = forecast_head(h_long, h_rep, params, NormStats(10.0, 2.0, 1)).data
+        w = params.constants()
+        raw = forecast_head(h_long, h_rep, w, params, None, 1).data
+        denormed = forecast_head(h_long, h_rep, w, params,
+                                 NormStats(np.array([10.0]), np.array([2.0])), 1).data
         assert np.allclose(denormed, 2.0 * raw + 10.0, atol=1e-12)
 
 
@@ -248,10 +255,11 @@ class TestTpgnForward:
                                        variant="short")
         w = make_window(8, 8, seed=21)
         got = tpgn_forward(w, params, cfg_short).data
-        grid, stats = prepare_input(w, 0, 4)
-        h_short = short_branch(grid, params)
+        grid, stats = prepare_input([w], 0, 4)
+        weights = params.constants()
+        h_short = short_branch(ad.constant(grid), weights)
         zeros = ad.constant(np.zeros((4, 2)))
-        expected = forecast_head(zeros, h_short, params, stats).data
+        expected = forecast_head(zeros, h_short, weights, params, stats, 1).data[0]
         assert np.array_equal(got, expected)
 
     def test_full_forward_equals_chained_oracles(self):
@@ -311,6 +319,17 @@ class TestTpgnForward:
         with pytest.raises(ConfigError, match="lengths"):
             tpgn_forward(make_window(12, 8), params, cfg)
 
+    @pytest.mark.parametrize("shapes", [
+        [(8, 4, 1)],              # horizon
+        [(8, 8, 2)],              # time features
+        [(8, 8, 1), (12, 8, 1)],  # two history lengths in one batch
+    ])
+    def test_batch_disagreeing_with_model_rejected(self, shapes):
+        params, cfg = make_model()
+        windows = [make_window(l_h, l_f, c_time) for l_h, l_f, c_time in shapes]
+        with pytest.raises(ConfigError):
+            tpgn_forward_batch(windows, params, cfg)
+
     def test_variant_cell_mismatch_rejected(self):
         params, _ = make_model()  # no cell attached
         cfg = TpgnConfig(norm=0, period=4, variant=VARIANTS["gru"])
@@ -333,10 +352,10 @@ class TestTrackedGridForward:
             params, cfg = make_model(l_h=12, l_f=8, period=4, hidden=3, seed=29,
                                      variant=variant)
             fast = tpgn_forward(w, params, cfg).data
-            grid, stats = prepare_input(w, cfg.norm, cfg.period)
+            grid, stats = prepare_input([w], cfg.norm, cfg.period)
             g = ad.Graph()
-            leaf = g.leaf(grid[None], op="input")
-            tracked = _forward_core(leaf, [stats], params.leaf_into(g), params, cfg)
+            leaf = g.leaf(grid, op="input")
+            tracked = _forward_core(leaf, stats, params.leaf_into(g), params)
             assert tracked.tracked
             assert np.array_equal(tracked.data[0], fast), variant
             grad = ad.backward(ad.reduce_sum(tracked))[leaf]

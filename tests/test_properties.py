@@ -1,10 +1,13 @@
-"""Property tests: the batched causal-window op and the batched gated cell."""
+"""Property tests: the batched causal-window op, the batched gated cell,
+broadcasting vjps and batched input normalization."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpgn import autodiff as ad
+from tpgn.model import (SIGMA_FLOOR, SeriesWindow, TpgnParams, forecast_head,
+                        prepare_input)
 from tpgn.pgn import PgnParams, pgn_apply, pgn_forward_oracle
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -72,3 +75,67 @@ def test_broadcasting_vjps(op, shapes, tracked, seed):
         return ad.reduce_sum(ad.mul(op(a, b), weight))
 
     assert ad.finite_diff_check(f, point) <= 1e-9
+
+
+@st.composite
+def _window_batch(draw):
+    """Windows of one shape; each history is random, constant or near-constant."""
+    rows, period = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    c_time, l_h = draw(st.integers(0, 2)), rows * period
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "constant", "near"]),
+                              min_size=1, max_size=5)):
+        level = rng.uniform(-50, 50)
+        if kind == "random":
+            x = level + rng.uniform(-3, 3, l_h)
+        elif kind == "near":
+            x = level + rng.uniform(-1e-7, 1e-7, l_h)
+        else:
+            x = np.full(l_h, level)
+        windows.append(SeriesWindow(x_1d=x, tf_enc=rng.uniform(-0.5, 0.5, (l_h, c_time)),
+                                    y_true=np.zeros(period)))
+    return windows, rows, period
+
+
+def _reference_grid(window, norm, rows, period):
+    """One window the way a per-window loop would prepare it."""
+    x = window.x_1d
+    mu = x.mean()
+    sigma = max(np.sqrt(((x - mu) ** 2).mean()), SIGMA_FLOOR)
+    values = (x - mu) / sigma if norm else x
+    grid = np.concatenate([values[:, None], window.tf_enc], axis=1)
+    return grid.reshape(rows, period, grid.shape[1]), mu, sigma
+
+
+@SETTINGS
+@given(batch=_window_batch(), norm=st.sampled_from([0, 1]))
+def test_batched_normalization_matches_per_window_reference(batch, norm):
+    windows, rows, period = batch
+    grids, stats = prepare_input(windows, norm, period)
+    assert grids.shape == (len(windows), rows, period, 1 + windows[0].c_time)
+    assert (stats is None) == (norm == 0)
+    for i, window in enumerate(windows):
+        grid, mu, sigma = _reference_grid(window, norm, rows, period)
+        assert grids[i].tobytes() == grid.tobytes()
+        if norm:
+            assert stats.mu[i] == mu and stats.sigma[i] == sigma
+
+
+@SETTINGS
+@given(batch=_window_batch(), hidden=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_head_denormalization_is_exact(batch, hidden, seed):
+    windows, rows, period = batch
+    rng = np.random.default_rng(seed)
+    params = TpgnParams.init(rows * period, period, period, windows[0].c_time,
+                             hidden, rng)
+    _, stats = prepare_input(windows, 1, period)
+    b = len(windows)
+    h_long = ad.constant(rng.uniform(-1, 1, (b * period, hidden)))
+    h_rep = ad.constant(rng.uniform(-1, 1, (b * period, hidden)))
+    w = params.constants()
+    raw = forecast_head(h_long, h_rep, w, params, None, b).data
+    denormed = forecast_head(h_long, h_rep, w, params, stats, b).data
+    expected = stats.sigma[:, None] * raw + stats.mu[:, None]
+    assert denormed.tobytes() == expected.tobytes()

@@ -175,6 +175,16 @@ class TestFit:
         _, log = fit(params, make_windows(6, seed=16), make_windows(2, seed=17), cfg)
         assert len(log) == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("l_h", 16), ("l_f", 4), ("period", 2), ("d_m", 3)])
+    def test_config_disagreeing_with_params_rejected(self, field, value):
+        # the checkpoint echo comes from cfg: a mismatch would write a
+        # checkpoint that evaluate cannot rebuild
+        params = tiny_params(tiny_config())
+        cfg = tiny_config(**{field: value})
+        with pytest.raises(ConfigError, match=f"config {field}={value} does not match"):
+            fit(params, make_windows(4, seed=22), make_windows(2, seed=23), cfg)
+
 
 class TestEvaluate:
     def test_constant_model_hand_metrics(self):
@@ -323,3 +333,8 @@ class TestTrainConfig:
             TrainConfig(variant="bogus")
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            TrainConfig(lr=lr)
