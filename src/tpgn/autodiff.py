@@ -16,7 +16,10 @@ The tape also keeps a byte counter, which the benchmark harness reports
 as ``peak_bytes``.  It is not a peak: it sums the bytes of every array
 the tape has seen plus the leaf gradients ``backward`` returns (not the
 intermediate gradients), never decreases, and counts a reshape view again
-on top of its base.  Arrays are told apart by ``id()`` plus a weak
+on top of its base.  Only operands and results are counted, not scratch
+arrays inside a primitive or its vjp: ``causal_linear`` counts its input
+[M, L, c], not the [M*L, (L-1)*c] windows it builds block by block and
+rebuilds in its vjp.  Arrays are told apart by ``id()`` plus a weak
 reference, so an id that CPython reuses after garbage collection cannot
 hide a new array, and identical steps report identical totals.
 """
@@ -48,7 +51,8 @@ __all__ = [
     "reshape",
     "permute",
     "slice_rows",
-    "causal_windows",
+    "causal_blocks",
+    "causal_linear",
     "linear",
     "lerp",
     "repeat_rows",
@@ -363,8 +367,13 @@ def sigmoid(a) -> Tensor:
     np.divide(1.0, d, out=d)  # 1 / (1 + e), the value where x >= 0
     value = np.where(x >= 0, d, e)
 
+    # this vjp, tanh's and lerp's group every product as the plain
+    # expressions g*v*(1-v), g*(1-v*v), g*(a-b) and g*(1-gate) do, so
+    # writing into fewer fresh buffers leaves the bits unchanged
     def vjp(g):
-        return (g * value * (1.0 - value),)
+        dx = g * value
+        dx *= 1.0 - value
+        return (dx,)
 
     return _emit("sigmoid", (a,), value, vjp)
 
@@ -374,7 +383,10 @@ def tanh(a) -> Tensor:
     value = np.tanh(a.data)
 
     def vjp(g):
-        return (g * (1.0 - value * value),)
+        dx = value * value
+        np.subtract(1.0, dx, out=dx)
+        dx *= g
+        return (dx,)
 
     return _emit("tanh", (a,), value, vjp)
 
@@ -487,31 +499,102 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _emit("slice_rows", (a,), value, vjp)
 
 
-def causal_windows(a) -> Tensor:
-    """History windows of M stacked sequences: [M, L, c] -> [M*L, (L-1)*c].
+# A row block of causal_linear is byte-equal to the dense product only where
+# OpenBLAS computes both alike.  Measured with OpenBLAS 0.3.31 (Haswell DGEMM):
+# an inner dimension of up to 384 is summed in one pass, in order, so leading
+# zero slots add exactly nothing, while a longer one is split into K-blocks
+# that a row block would cut elsewhere; and a GEMM with at most 1200 outputs
+# goes to a small-matrix kernel with its own summation order.  Blocks of 4
+# steps were fastest on the long-history cell ([768, 60, 5], d=128); shorter
+# sequences and products of fewer than 8192 outputs per block lost to the
+# per-block copies and calls.
+_GEMM_K_BLOCK = 384
+_BLOCK_STEPS = 4
+_MIN_SPLIT_LENGTH = 24
+_MIN_BLOCK_OUTPUTS = 8192
 
-    Row m*L + t holds steps t-L+1 .. t-1 of sequence m (the L-1 steps
-    strictly before t), oldest first with channels contiguous per step;
-    steps before 0 read as zeros.
+
+def causal_blocks(m: int, length: int, c: int, d: int) -> list[tuple[int, int]]:
+    """Step blocks [s, e) that :func:`causal_linear` multiplies one at a time.
+
+    ``m`` sequences of ``length`` steps and ``c`` channels map to ``d``
+    outputs.  The plan is one block unless a split is byte-equal to the
+    dense product and pays off; a split has blocks of 4 steps, the first
+    one taking the remainder.
     """
-    a = _as_tensor(a)
-    if a.data.ndim != 3 or a.shape[1] < 2:
-        raise DimensionError(f"causal_windows expects [M, L >= 2, c], got {a.shape}")
-    m, length, c = a.shape
-    width = length - 1
-    padded = np.concatenate([np.zeros((m, width, c)), a.data], axis=1)
-    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    value = np.ascontiguousarray(view[:, :length].transpose(0, 1, 3, 2)).reshape(
-        m * length, width * c)
+    if ((length - 1) * c > _GEMM_K_BLOCK or length < _MIN_SPLIT_LENGTH
+            or m * _BLOCK_STEPS * d < _MIN_BLOCK_OUTPUTS):
+        return [(0, length)]
+    bounds = [0, *range(_BLOCK_STEPS + length % _BLOCK_STEPS, length + 1, _BLOCK_STEPS)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _zero_padded(x: np.ndarray) -> np.ndarray:
+    """[M, L, c] -> [M, 2L-1, c] with L-1 zero steps in front."""
+    m, length, c = x.shape
+    padded = np.zeros((m, 2 * length - 1, c))
+    padded[:, length - 1:] = x
+    return padded
+
+
+def _window_block(padded: np.ndarray, length: int, s: int, e: int) -> np.ndarray:
+    """The last e-1 window slots of steps [s, e): [M*(e-s), (e-1)*c], rows (m, t)-major.
+
+    Slot j of step t reads padded step t+j, so the slots are one strided
+    view of the padded input; the reshape makes the one contiguous copy.
+    """
+    m, _, c = padded.shape
+    sm, st, sc = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded[:, s + length - e:], (m, e - s, e - 1, c), (sm, st, st, sc),
+        writeable=False)
+    return view.reshape(m * (e - s), (e - 1) * c)
+
+
+def causal_linear(x, w, b) -> Tensor:
+    """History map of M stacked sequences: x [M, L, c] -> [M*L, d].
+
+    Row m*L + t is ``w @ window + b`` with w [d, (L-1)*c] and b [d]; the
+    window holds steps t-L+1 .. t-1 of sequence m (the L-1 steps strictly
+    before t), oldest first with channels contiguous per step, and steps
+    before 0 read as zeros.  Each step block of :func:`causal_blocks`
+    multiplies only the window slots its last step can see, so most of the
+    zero triangle is skipped, and no window matrix outlives the call: the
+    vjp rebuilds it for ``w``'s gradient, which stays one GEMM over all
+    rows in order.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 3 or x.shape[1] < 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise DimensionError(
+            "causal_linear expects x[M, L >= 2, c], w[d, (L-1)*c], b[d]; "
+            f"got {x.shape}, {w.shape}, {b.shape}")
+    m, length, c = x.shape
+    d = w.shape[0]
+    if w.shape[1] != (length - 1) * c or b.shape[0] != d:
+        raise DimensionError(
+            f"causal_linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    xd, wd, bd = x.data, w.data, b.data
+    padded = _zero_padded(xd)
+    value = np.empty((m, length, d))
+    for s, e in causal_blocks(m, length, c, d):
+        part = _window_block(padded, length, s, e) @ wd[:, (length - e) * c:].T
+        np.add(part.reshape(m, e - s, d), bd, out=value[:, s:e])
+    value = value.reshape(m * length, d)
+    need_x, need_w, need_b = x.tracked, w.tracked, b.tracked
 
     def vjp(g):
-        g4 = g.reshape(m, length, width, c)
-        out = np.zeros((m, width + length, c), dtype=np.float64)
-        for j in range(width):  # window slot j of step t reads padded step t+j
-            out[:, j:j + length] += g4[:, :, j, :]
-        return (out[:, width:],)
+        dx = dw = None
+        if need_x:
+            g4 = (g @ wd).reshape(m, length, length - 1, c)
+            out = np.zeros((m, 2 * length - 1, c))
+            for j in range(length - 1):  # window slot j of step t reads padded step t+j
+                out[:, j:j + length] += g4[:, :, j, :]
+            dx = out[:, length - 1:]
+        if need_w:
+            dw = g.T @ _window_block(_zero_padded(xd), length, 0, length)
+        return (dx, dw, g.sum(axis=0) if need_b else None)
 
-    return _emit("causal_windows", (a,), value, vjp)
+    return _emit("causal_linear", (x, w, b), value, vjp)
 
 
 def linear(x, w, b) -> Tensor:
@@ -549,8 +632,14 @@ def lerp(gate, a, b) -> Tensor:
     need_gate, need_a, need_b = gate.tracked, a.tracked, b.tracked
 
     def vjp(g):
-        return (g * (ad - bd) if need_gate else None, g * gd if need_a else None,
-                g * (1.0 - gd) if need_b else None)
+        d_gate = d_b = None
+        if need_gate:
+            d_gate = ad - bd
+            d_gate *= g
+        if need_b:
+            d_b = 1.0 - gd
+            d_b *= g
+        return (d_gate, g * gd if need_a else None, d_b)
 
     return _emit("lerp", (gate, a, b), value, vjp)
 

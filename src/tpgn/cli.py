@@ -301,7 +301,9 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
     # probe function is evaluated many times and has to stay deterministic
     c_resh = rng.uniform(-1, 1, (2, 6))
     c_perm = rng.uniform(-1, 1, (3, 4))
-    c_win = rng.uniform(-1, 1, (6, 4))
+    c_hie_w = rng.uniform(-1, 1, (3, 4))
+    c_hie_b = rng.uniform(-1, 1, 3)
+    c_hie = rng.uniform(-1, 1, (6, 3))
     c_rep = rng.uniform(-1, 1, (12, 3))
     c_lin = rng.uniform(-1, 1, (4, 2))
     c_cat = rng.uniform(-1, 1, (8, 3))
@@ -327,8 +329,15 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
         "permute": (lambda t: ad.reduce_sum(ad.mul(ad.permute(t, (1, 0)),
                                                    ad.constant(c_perm))), x),
         "slice_rows": (lambda t: ad.reduce_sum(ad.slice_rows(t, 1, 3)), x),
-        "causal_windows": (lambda t: ad.reduce_sum(ad.mul(
-            ad.causal_windows(ad.reshape(t, (2, 3, 2))), ad.constant(c_win))), x),
+        "causal_linear": (lambda t: ad.reduce_sum(ad.mul(ad.causal_linear(
+            ad.reshape(t, (2, 3, 2)), ad.constant(c_hie_w), ad.constant(c_hie_b)),
+            ad.constant(c_hie))), x),
+        "causal_linear.w": (lambda t: ad.reduce_sum(ad.mul(ad.causal_linear(
+            ad.reshape(cx, (2, 3, 2)), t, ad.constant(c_hie_b)), ad.constant(c_hie))),
+            c_hie_w),
+        "causal_linear.b": (lambda t: ad.reduce_sum(ad.mul(ad.causal_linear(
+            ad.reshape(cx, (2, 3, 2)), ad.constant(c_hie_w), t), ad.constant(c_hie))),
+            c_hie_b),
         "linear": (lambda t: ad.reduce_sum(ad.linear(t, cw, cb)), x),
         "linear.w": (lambda t: ad.reduce_sum(ad.mul(ad.linear(cx, t, cb),
                                                     ad.constant(c_lin))), w),

@@ -10,13 +10,14 @@ t at once:
 
 The history summary looks at exactly the L-1 steps strictly before t
 (oldest first), taken from a zero-padded prefix, so no step depends on any
-other step's result: the whole sequence is one window-stacking, three
-affine maps and a gate, and the computation-graph depth from input to
-output does not grow with L.  :func:`pgn_apply` is the one implementation:
-it runs M independent sequences [M, L, c] through the same weights at
-once.  :func:`pgn_forward` calls it for one sequence, and the model's long
-branch, the benchmark and the depth probe reach it through the cell table
-in :mod:`tpgn.baselines`.
+other step's result: the whole sequence is one causal linear map
+(:func:`tpgn.autodiff.causal_linear`, which skips most of the padding
+zeros), two affine maps and a gate, and the computation-graph depth from
+input to output does not grow with L.  :func:`pgn_apply` is the one
+implementation: it runs M independent sequences [M, L, c] through the same
+weights at once.  :func:`pgn_forward` calls it for one sequence, and the
+model's long branch, the benchmark and the depth probe reach it through
+the cell table in :mod:`tpgn.baselines`.
 
 Window flattening is time-major with channels contiguous per step, and
 the gate concatenation puts the c input channels before the hidden state,
@@ -95,7 +96,7 @@ def pgn_apply(x: Tensor, w: dict[str, Tensor]) -> PgnOutput:
     Every field of the result is [M*L, hidden] with rows (m, t)-major.
     """
     m, length, c = x.shape
-    history = ad.linear(ad.causal_windows(x), w["hie_w"], w["hie_b"])
+    history = ad.causal_linear(x, w["hie_w"], w["hie_b"])
     joint = ad.concat([ad.reshape(x, (m * length, c)), history], axis=1)
     gate = ad.sigmoid(ad.linear(joint, w["gate_w"], w["gate_b"]))
     candidate = ad.tanh(ad.linear(joint, w["cand_w"], w["cand_b"]))
@@ -152,7 +153,12 @@ def pgn_forward_oracle(x, params: PgnParams) -> PgnOutput:
 
 
 def pgn_macs(length: int, in_channels: int, hidden: int) -> int:
-    """Multiply-accumulates of one cell forward over a length-L sequence."""
+    """Multiply-accumulates of one cell forward over a length-L sequence.
+
+    The history term is the dense L*(L-1)*c*d count, padding zeros
+    included, on which criterion 4 is defined; ``causal_linear`` executes
+    fewer where it splits the sequence into step blocks.
+    """
     hie = length * (length - 1) * in_channels * hidden
     gates = 2 * length * (hidden + in_channels) * hidden
     return hie + gates

@@ -184,41 +184,137 @@ class TestConcat:
         assert np.array_equal(ad.backward(out)[x], [[3.0, 3.0]])
 
 
-class TestCausalWindows:
+def _dense_windows(x):
+    """The zero-padded window matrix [M*L, (L-1)*c], built step by step."""
+    m, length, c = x.shape
+    windows = np.zeros((m, length, length - 1, c))
+    for t in range(length):
+        windows[:, t, length - 1 - t:] = x[:, :t]
+    return windows.reshape(m * length, (length - 1) * c)
+
+
+def _causal_identity(x):
+    """causal_linear with w = I and b = 0, which returns the windows."""
+    width = (x.shape[1] - 1) * x.shape[2]
+    return ad.causal_linear(ad.constant(x), ad.constant(np.eye(width)),
+                            ad.constant(np.zeros(width))).data
+
+
+class TestCausalLinear:
     def test_definition(self):
         # L=3, c=1: step t sees the two steps before it, oldest first
-        out = ad.causal_windows(ad.constant([[[1.0], [2.0], [3.0]]]))
-        assert np.array_equal(out.data, [[0.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+        out = _causal_identity(np.array([[[1.0], [2.0], [3.0]]]))
+        assert np.array_equal(out, [[0.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
 
     def test_two_steps_is_a_shift(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ad.causal_windows(ad.constant(x))
-        assert np.array_equal(out.data, [[0.0, 0.0], [1.0, 2.0]])
+        out = _causal_identity(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        assert np.array_equal(out, [[0.0, 0.0], [1.0, 2.0]])
 
     def test_zero_input(self):
-        out = ad.causal_windows(ad.constant(np.zeros((2, 4, 3))))
-        assert np.array_equal(out.data, np.zeros((8, 9)))
+        b = np.array([0.5, -1.0])
+        out = ad.causal_linear(ad.constant(np.zeros((2, 4, 3))),
+                               ad.constant(np.ones((2, 9))), ad.constant(b))
+        assert np.array_equal(out.data, np.tile(b, (8, 1)))
 
     def test_short_sequence_rejected(self):
-        with pytest.raises(DimensionError):
-            ad.causal_windows(ad.constant(np.zeros((2, 1, 3))))
-        with pytest.raises(DimensionError):
-            ad.causal_windows(ad.constant(np.zeros((4, 3))))
+        w, b = ad.constant(np.zeros((2, 0))), ad.constant(np.zeros(2))
+        with pytest.raises(DimensionError, match="L >= 2"):
+            ad.causal_linear(ad.constant(np.zeros((2, 1, 3))), w, b)
+        with pytest.raises(DimensionError, match="L >= 2"):
+            ad.causal_linear(ad.constant(np.zeros((4, 3))), w, b)
+
+    def test_weight_shapes_checked(self):
+        x = ad.constant(np.zeros((2, 4, 3)))
+        with pytest.raises(DimensionError, match="disagree"):
+            ad.causal_linear(x, ad.constant(np.zeros((2, 8))), ad.constant(np.zeros(2)))
+        with pytest.raises(DimensionError, match="disagree"):
+            ad.causal_linear(x, ad.constant(np.zeros((2, 9))), ad.constant(np.zeros(3)))
+        with pytest.raises(DimensionError, match="expects"):
+            ad.causal_linear(x, ad.constant(np.zeros(9)), ad.constant(np.zeros(2)))
+        with pytest.raises(DimensionError, match="expects"):
+            ad.causal_linear(x, ad.constant(np.zeros((2, 9))), ad.constant(np.zeros((2, 1))))
 
     def test_layout(self):
         # row t holds steps t-3 .. t-1 flattened time-major, channels within a step
-        x = np.arange(8.0).reshape(1, 4, 2)
-        out = ad.causal_windows(ad.constant(x))
-        assert out.data.shape == (4, 6)
-        assert np.array_equal(out.data[2], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(out.data[3], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        out = _causal_identity(np.arange(8.0).reshape(1, 4, 2))
+        assert out.shape == (4, 6)
+        assert np.array_equal(out[2], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(out[3], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_batched_rows_match_single_sequences(self):
-        x = np.random.default_rng(4).uniform(-1, 1, (3, 5, 2))
-        out = ad.causal_windows(ad.constant(x)).data
-        for m in range(3):
-            single = ad.causal_windows(ad.constant(x[m:m + 1])).data
-            assert np.array_equal(out[m * 5:(m + 1) * 5], single)
+        # 32 sequences of 30 steps run in step blocks; one sequence runs whole
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (32, 30, 1))
+        w, b = ad.constant(rng.uniform(-1, 1, (64, 29))), ad.constant(rng.uniform(-1, 1, 64))
+        assert len(ad.causal_blocks(32, 30, 1, 64)) > 1
+        assert len(ad.causal_blocks(1, 30, 1, 64)) == 1
+        out = ad.causal_linear(ad.constant(x), w, b).data
+        for m in range(32):
+            single = ad.causal_linear(ad.constant(x[m:m + 1]), w, b).data
+            assert np.array_equal(out[m * 30:(m + 1) * 30], single)
+
+    # blocked forwards (the long-history cell, and a batch of one window of
+    # it), one-block short sequences, and one block when (L-1)*c > 384
+    @pytest.mark.parametrize("m,length,c,d", [(768, 60, 5, 128), (24, 60, 5, 128),
+                                              (768, 7, 5, 32), (32, 78, 5, 32)])
+    def test_byte_equal_to_dense_product(self, m, length, c, d):
+        rng = np.random.default_rng(m + length + d)
+        x = rng.uniform(-1, 1, (m, length, c))
+        w = rng.uniform(-1, 1, (d, (length - 1) * c))
+        b = rng.uniform(-1, 1, d)
+        g = rng.uniform(-1, 1, (m * length, d))
+        windows = _dense_windows(x)
+        graph = ad.Graph()
+        wt, bt = graph.leaf(w), graph.leaf(b)
+        out = ad.causal_linear(ad.constant(x), wt, bt)
+        assert np.array_equal(out.data, windows @ w.T + b)
+        _, dw, db = graph.nodes[out.node_id].vjp(g)
+        assert np.array_equal(dw, g.T @ windows)
+        assert np.array_equal(db, g.sum(axis=0))
+
+
+class TestCausalBlocks:
+    # (M, L, c, d) of every cell the repo runs, with its step blocks
+    # (None: one block): the model's long branch has M = batch*P sequences
+    # of R = L_h/P steps and c = 5 channels, the bare cells one sequence of
+    # L_h steps and c = 1
+    PLANS = {
+        "protocol 168->168": ((32 * 24, 7, 5, 32), None),
+        "long_history 1440->720": ((32 * 24, 60, 5, 128), [(0, 4)] + [
+            (s, s + 4) for s in range(4, 60, 4)]),
+        "long_history batch of one": ((24, 60, 5, 128), [(0, 4)] + [
+            (s, s + 4) for s in range(4, 60, 4)]),
+        "bench L_h=336": ((32 * 24, 14, 5, 128), None),
+        "bench L_h=720": ((32 * 24, 30, 5, 128), [(0, 6)] + [
+            (s, s + 4) for s in range(6, 30, 4)]),
+        "bench --quick L_h=48": ((32 * 24, 2, 5, 128), None),
+        "bench --quick L_h=96": ((32 * 24, 4, 5, 128), None),
+        "bare cell L=168": ((1, 168, 1, 128), None),
+        "bare cell L=336": ((1, 336, 1, 128), None),
+        "bare cell L=720": ((1, 720, 1, 128), None),
+        "bare cell L=1440 (criterion 5)": ((1, 1440, 1, 128), None),
+        "demo 04 TPGN L_h=480": ((4 * 24, 20, 5, 32), None),
+        "demo 04 bare cell L=480": ((1, 480, 1, 32), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_plan_of_each_cell_shape(self, name):
+        shape, blocks = self.PLANS[name]
+        assert ad.causal_blocks(*shape) == (blocks or [(0, shape[1])])
+
+    def test_one_block_at_seven_steps_and_past_one_k_block(self):
+        for m, d in [(1, 1), (768, 32), (4096, 512)]:
+            assert ad.causal_blocks(m, 7, 5, d) == [(0, 7)]
+            assert ad.causal_blocks(m, 78, 5, d) == [(0, 78)]  # K = 385
+            assert ad.causal_blocks(m, 386, 1, d) == [(0, 386)]
+            assert ad.causal_blocks(m, 1440, 1, d) == [(0, 1440)]
+
+    @pytest.mark.parametrize("length", range(24, 80))
+    def test_blocks_tile_the_steps(self, length):
+        blocks = ad.causal_blocks(4096, length, 1, 64)
+        assert blocks[0][0] == 0 and blocks[-1][1] == length
+        assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
+        assert all(4 <= e - s < 8 for s, e in blocks)
 
 
 class TestReduce:
@@ -426,7 +522,7 @@ class TestNeedsGrad:
     @pytest.mark.parametrize("norm", [0, 1])
     @pytest.mark.parametrize("variant", ["full", "long", "short", "gru", "lstm", "mlp"])
     def test_no_vjp_output_for_untracked_operands(self, variant, norm):
-        # e.g. the constant causal-window matrix fed to the history map: its
+        # e.g. the constant input grid fed to the history extractor: its
         # g @ W would be the largest GEMM of a long-history backward
         from tpgn.model import (VARIANTS, SeriesWindow, TpgnConfig, TpgnParams,
                                 tpgn_forward_batch)

@@ -1,4 +1,4 @@
-"""Property tests: the batched causal-window op, the batched gated cell,
+"""Property tests: the causal linear map, the batched gated cell,
 broadcasting vjps and batched input normalization."""
 
 import numpy as np
@@ -33,14 +33,19 @@ def test_batched_cell_blocks_match_oracle(m, length, c, d, seed):
 
 @SETTINGS
 @given(m=st.integers(1, 3), length=st.integers(2, 6), c=st.integers(1, 3),
+       d=st.integers(1, 3), operand=st.sampled_from(["x", "w", "b"]),
        seed=st.integers(0, 2**32 - 1))
-def test_causal_windows_gradient(m, length, c, seed):
+def test_causal_linear_gradient(m, length, c, d, operand, seed):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, (m, length, c))
-    weight = ad.constant(rng.uniform(-1, 1, (m * length, (length - 1) * c)))
-    err = ad.finite_diff_check(
-        lambda t: ad.reduce_sum(ad.mul(ad.causal_windows(t), weight)), x)
-    assert err <= 1e-9
+    values = {"x": rng.uniform(-1, 1, (m, length, c)),
+              "w": rng.uniform(-1, 1, (d, (length - 1) * c)), "b": rng.uniform(-1, 1, d)}
+    probe = ad.constant(rng.uniform(-1, 1, (m * length, d)))
+
+    def f(t):
+        args = {k: t if k == operand else ad.constant(v) for k, v in values.items()}
+        return ad.reduce_sum(ad.mul(ad.causal_linear(args["x"], args["w"], args["b"]), probe))
+
+    assert ad.finite_diff_check(f, values[operand]) <= 1e-9
 
 
 @st.composite
