@@ -30,6 +30,13 @@ products.  There is one forward over that tensor: training, evaluation
 and the benchmark feed it constant grids, and the depth probe feeds it a
 tracked one.  The parameters hold only the weights their variant uses,
 and the variant is read off them.
+
+The long branch's column sequences are independent, so when nothing is
+tracked it runs them in cache-sized blocks (:func:`autodiff.sequence_blocks`)
+instead of one pass over [B*P*R, d] activations; every block GEMM stays
+above OpenBLAS's small-matrix limit, so the result is byte-equal to one
+pass.  A tracked pass stays one block, because blocks would sum each
+weight gradient in another order.
 """
 
 from __future__ import annotations
@@ -326,11 +333,25 @@ def _collapse_rows(x: Tensor, groups: int, rows: int, weight: Tensor,
 
 
 def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
-    """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major."""
+    """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major.
+
+    The B*P column sequences are independent, so an untracked pass runs
+    them in the cache-sized blocks of :func:`autodiff.sequence_blocks`, byte
+    for byte as one pass would.  A tracked pass stays one block: blocks
+    would sum each weight gradient in another order.
+    """
     b, rows, period, c = grid.shape
-    seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
-    out_all = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
-    return _collapse_rows(out_all, b * period, rows, w["long_w"], w["long_b"])
+    m = b * period
+    seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (m, rows, c))
+    apply, cell_w = baselines.CELLS[kind].apply, _cell_keys(w, "cell.")
+    if seqs.tracked or any(t.tracked for t in w.values()):
+        return _collapse_rows(apply(seqs, cell_w), m, rows, w["long_w"], w["long_b"])
+    d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
+    out = np.empty((m, d))
+    for s, e in ad.sequence_blocks(m, rows, d):
+        part = apply(ad.constant(seqs.data[s:e]), cell_w)
+        out[s:e] = _collapse_rows(part, e - s, rows, w["long_w"], w["long_b"]).data
+    return ad.constant(out)
 
 
 def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:

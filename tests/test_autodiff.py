@@ -317,6 +317,37 @@ class TestCausalBlocks:
         assert all(4 <= e - s < 8 for s, e in blocks)
 
 
+class TestSequenceBlocks:
+    # (M, R, d) of every untracked long branch the repo runs, with its number
+    # of sequence blocks and their sizes: M = windows*24 columns of R steps
+    PLANS = {
+        "eval chunk of 512 windows": ((512 * 24, 7, 32), 21, {585, 586}),
+        "eval remainder of 154 windows": ((154 * 24, 7, 32), 7, {528}),
+        "train_protocol validation, 105 windows": ((105 * 24, 7, 32), 5, {504}),
+        "32-window forward": ((32 * 24, 7, 32), 2, {384}),
+        "one window at 168->168": ((24, 7, 32), 1, {24}),
+        "long_history 3-window check": ((3 * 24, 60, 128), 5, {14, 15}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_plan_of_each_untracked_shape(self, name):
+        shape, count, sizes = self.PLANS[name]
+        blocks = ad.sequence_blocks(*shape)
+        assert len(blocks) == count
+        assert {e - s for s, e in blocks} == sizes
+
+    def test_long_history_blocks_in_order(self):
+        assert ad.sequence_blocks(72, 60, 128) == [
+            (0, 14), (14, 28), (28, 43), (43, 57), (57, 72)]
+
+    def test_no_block_at_or_under_the_small_gemm_limit(self):
+        # 1 MiB would want 4 blocks of 150 sequences, but 150*8 = 1200
+        # outputs is small-matrix territory, so three blocks of 200
+        assert ad.sequence_blocks(600, 109, 8) == [(0, 200), (200, 400), (400, 600)]
+        assert ad.sequence_blocks(1201, 1000, 1) == [(0, 1201)]
+        assert ad.sequence_blocks(2402, 1000, 1) == [(0, 1201), (1201, 2402)]
+
+
 class TestReduce:
     def test_mean_scalar_loop_oracle(self):
         x = [1.0, 2.0, 3.0]

@@ -361,6 +361,25 @@ class TestTrackedGridForward:
             grad = ad.backward(ad.reduce_sum(tracked))[leaf]
             assert grad.shape == leaf.shape and np.any(grad != 0.0), variant
 
+    @pytest.mark.parametrize("variant", ["full", "long", "gru", "lstm", "mlp"])
+    def test_blocked_long_branch_matches_tracked(self, variant):
+        # 128 windows at 168->168 with d_m=32: the untracked long branch
+        # runs in several sequence blocks, the tracked one in a single block
+        assert len(ad.sequence_blocks(128 * 24, 7, 32)) > 1
+        windows = [make_window(168, 168, c_time=4, seed=s) for s in range(128)]
+        for norm in (0, 1):
+            for shared in (True, False):
+                params = TpgnParams.init(168, 168, 24, 4, 32, np.random.default_rng(36),
+                                         VARIANTS[variant], head_shared=shared)
+                cfg = TpgnConfig(norm=norm, period=24, variant=VARIANTS[variant])
+                fast = tpgn_forward_batch(windows, params, cfg)
+                grid, stats = prepare_input(windows, norm, 24)
+                g = ad.Graph()
+                tracked = _forward_core(g.leaf(grid, op="input"), stats,
+                                        params.leaf_into(g), params)
+                assert not fast.tracked and tracked.tracked
+                assert np.array_equal(fast.data, tracked.data), (norm, shared)
+
     def test_depth_constant_across_history_lengths(self):
         depths = []
         for l_h in (8, 64, 512):

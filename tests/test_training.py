@@ -1,13 +1,16 @@
 """Metrics, Adam, the fit loop, early stopping and checkpoints."""
 
+import platform
+
 import numpy as np
 import pytest
 
+from tpgn import autodiff as ad
 from tpgn.errors import ConfigError, ContractError, DivergenceError
-from tpgn.model import VARIANTS, SeriesWindow, TpgnParams
+from tpgn.model import VARIANTS, SeriesWindow, TpgnParams, tpgn_forward_batch
 from tpgn.training import (AdamState, Checkpoint, TrainConfig, adam_step,
                            evaluate, fit, mae, mse, params_from_checkpoint,
-                           write_epoch_log)
+                           predict_windows, write_epoch_log)
 
 
 def make_windows(n, l_h=8, l_f=8, c_time=1, seed=0, zeros=False):
@@ -175,6 +178,30 @@ class TestFit:
         _, log = fit(params, make_windows(6, seed=16), make_windows(2, seed=17), cfg)
         assert len(log) == 1
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap padding is a glibc setting")
+    def test_steps_after_fit_reuse_freed_memory(self):
+        # a protocol-shape step frees and reallocates several MB; after fit
+        # has set the heap padding, a repeated step faults almost nothing in
+        import resource
+
+        cfg = tiny_config(l_h=168, l_f=168, period=24, d_m=32, max_epochs=1,
+                          patience=1, batch_size=32)
+        params = tiny_params(cfg, c_time=4)
+        windows = make_windows(32, l_h=168, l_f=168, c_time=4, seed=24)
+        fit(params, windows[:4], windows[4:6], cfg)
+
+        def step_faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            graph = ad.Graph()
+            preds = tpgn_forward_batch(windows, params, cfg.model_config(),
+                                       weights=params.leaf_into(graph))
+            ad.backward(ad.reduce_sum(ad.mul(preds, preds)))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults = [step_faults() for _ in range(4)]
+        assert min(faults[2:]) < 200, faults
+
     @pytest.mark.parametrize("field,value", [
         ("l_h", 16), ("l_f", 4), ("period", 2), ("d_m", 3)])
     def test_config_disagreeing_with_params_rejected(self, field, value):
@@ -215,6 +242,16 @@ class TestEvaluate:
         b = evaluate(ckpt, list(reversed(windows)))
         assert a["mse"] == pytest.approx(b["mse"], abs=1e-15)
         assert a["mae"] == pytest.approx(b["mae"], abs=1e-15)
+
+    def test_empty_window_sets_rejected(self):
+        cfg = tiny_config()
+        ckpt = Checkpoint(tensors=tiny_params(cfg).named_arrays(),
+                          config={**cfg.as_dict(), "c_time": "1", "head_shared": "1"},
+                          best_val_loss=0.0, epoch=1)
+        with pytest.raises(ConfigError, match="at least one window"):
+            evaluate(ckpt, [])
+        with pytest.raises(ConfigError, match="at least one window"):
+            predict_windows(tiny_params(cfg), [], cfg.model_config())
 
 
 class TestCheckpoint:
