@@ -92,31 +92,6 @@ class Tensor:
         tag = f", node={self.node_id}" if self.tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    # Operator sugar; all semantics live in the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class _Node:
     """One recorded primitive: kind, operand node ids, and its vjp.

@@ -1,8 +1,15 @@
 """The ``tpgn`` command: train, eval, bench, gradcheck, synth.
 
-Settings resolve in precedence order: built-in defaults, then the
---config file (flat ``key=value`` lines; ``#`` at the start of a line or
-after whitespace starts a comment), then explicit command-line flags.
+``tpgn train`` settings come from one table: the fields of
+:class:`training.TrainConfig` (``l_h``, ``l_f`` and ``d_m`` spelled ``lh``,
+``lf`` and ``dm``) plus the run-only settings; a setting parses as the
+type of its default.  They resolve in precedence order: those defaults,
+then the --config file (flat ``key=value`` lines; ``#`` at the start of a
+line or after whitespace starts a comment), then explicit command-line
+flags.  The calendar-channel count is read off the data, and ``tpgn eval``
+takes the target, scaling and timestamp column from the checkpoint echo
+unless a flag overrides them.  ``tpgn bench`` defaults are
+:class:`bench.BenchScenario`'s.
 Every run writes its resolved manifest before any computation, and output
 files are versioned (name.1.csv, name.2.csv, ...) rather than overwritten.
 
@@ -25,7 +32,7 @@ import hashlib
 import logging
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +49,16 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-_TRAIN_DEFAULTS = {
-    "data": None, "target": None, "timestamp_column": "date",
-    "lh": 168, "lf": 168, "period": 24, "dm": 32, "norm": 0, "scale": 1,
-    "variant": "full", "seed": 2023, "out": "tpgn-out", "noise_eps": 0.0,
-    "lr": 1e-3, "batch_size": 32, "max_epochs": 25, "patience": 5,
-    "c_time": 4, "head_shared": 1,
-}
+# TrainConfig fields the command line spells differently
+_CLI_NAME = {"l_h": "lh", "l_f": "lf", "d_m": "dm"}
+_CONFIG_FIELDS = {_CLI_NAME.get(f.name, f.name): f for f in fields(training.TrainConfig)}
 
-_TYPES = {
-    "lh": int, "lf": int, "period": int, "dm": int, "norm": int, "scale": int,
-    "seed": int, "batch_size": int, "max_epochs": int, "patience": int,
-    "c_time": int, "head_shared": int, "noise_eps": float, "lr": float,
-    "data": str, "target": str, "timestamp_column": str, "variant": str,
-    "out": str,
+# every `tpgn train` setting under its command-line name: TrainConfig's
+# fields with their defaults, then the run-only settings
+_TRAIN_DEFAULTS = {
+    **{key: f.default for key, f in _CONFIG_FIELDS.items()},
+    "data": None, "target": None, "timestamp_column": "date", "out": "tpgn-out",
+    "noise_eps": 0.0, "scale": 1, "head_shared": 1,
 }
 
 
@@ -82,11 +85,14 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _typed(key: str, value: str, source: str):
+    """Parse one setting as the type of its default (``str`` when that is None)."""
+    default = _TRAIN_DEFAULTS[key]
+    kind = str if default is None else type(default)
     try:
-        return _TYPES[key](value)
+        return kind(value)
     except ValueError:
         raise ConfigError(f"{source} key {key!r}: cannot parse {value!r} "
-                          f"as {_TYPES[key].__name__}") from None
+                          f"as {kind.__name__}") from None
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -101,15 +107,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    if resolved["norm"] not in (0, 1):
-        raise ConfigError(f"norm must be 0 or 1, got {resolved['norm']}")
     if resolved["scale"] not in (0, 1):
         raise ConfigError(f"scale must be 0 or 1, got {resolved['scale']}")
     if resolved["head_shared"] not in (0, 1):
         raise ConfigError(f"head_shared must be 0 or 1, got {resolved['head_shared']}")
-    if resolved["variant"] not in VARIANTS:
-        raise ConfigError(f"variant must be one of {sorted(VARIANTS)}, "
-                          f"got {resolved['variant']!r}")
     if not 0.0 <= resolved["noise_eps"] <= 1.0:
         raise ConfigError(f"noise_eps must be in [0, 1], got {resolved['noise_eps']}")
     return resolved
@@ -134,14 +135,6 @@ class RunManifest:
         lines.append(f"config_hash={self.config_hash}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
-
-
-def _train_config(res: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        lr=res["lr"], batch_size=res["batch_size"], max_epochs=res["max_epochs"],
-        patience=res["patience"], seed=res["seed"], d_m=res["dm"],
-        norm=res["norm"], period=res["period"], l_h=res["lh"], l_f=res["lf"],
-        variant=res["variant"])
 
 
 def _load_windows(res: dict):
@@ -179,7 +172,8 @@ def _write_predictions(out_dir: Path, window, preds) -> Path:
 
 def cmd_train(args) -> int:
     res = _resolve(args)
-    cfg = _train_config(res)
+    # TrainConfig validates norm, variant and the sizes before any file is written
+    cfg = training.TrainConfig(**{f.name: res[key] for key, f in _CONFIG_FIELDS.items()})
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.from_settings(res)
@@ -190,11 +184,12 @@ def cmd_train(args) -> int:
     if res["noise_eps"] > 0.0:
         spec = data_mod.NoiseSpec(epsilon=res["noise_eps"], rng_seed=res["seed"])
         train_w = data_mod.apply_noise(train_w, spec)
-    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, res["c_time"], cfg.d_m,
+    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, train_w[0].c_time, cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
                              head_shared=bool(res["head_shared"]))
     extra = {"noise_eps": str(res["noise_eps"]), "target": str(res["target"]),
-             "scale": str(res["scale"]), "config_hash": manifest.config_hash}
+             "scale": str(res["scale"]), "timestamp_column": res["timestamp_column"],
+             "config_hash": manifest.config_hash}
     try:
         ckpt, log = training.fit(params, train_w, val_w, cfg, extra_config=extra)
     except DivergenceError as exc:
@@ -230,8 +225,10 @@ def cmd_eval(args) -> int:
     ckpt = training.Checkpoint.load(args.checkpoint)
     _, cfg = training.params_from_checkpoint(ckpt)  # rejects a bad echo up front
     res = dict(_TRAIN_DEFAULTS)
-    res.update({k: _typed(k, v, "checkpoint config")
-                for k, v in ckpt.config.items() if k in _TYPES})
+    # the run-only settings that locate the data; echoes that predate
+    # timestamp_column fall back to its default
+    res.update({k: _typed(k, ckpt.config[k], "checkpoint config")
+                for k in ("target", "scale", "timestamp_column") if k in ckpt.config})
     for key in ("data", "target", "timestamp_column", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -258,20 +255,16 @@ def cmd_bench(args) -> int:
     else:
         out_lengths, in_lengths = [168, 336, 720, 1440], [168, 336, 720, 1440]
         fixed_in, fixed_out = 168, 1440
+    shared = dict(d_m=args.dm, batch=args.batch, repeat=args.repeat,
+                  warmup=args.warmup, period=args.period, seed=args.seed)
     scenarios = []
     for model in models:
         for l_f in out_lengths:
-            scenarios.append(BenchScenario(model, l_h=fixed_in, l_f=l_f,
-                                           d_m=args.dm, batch=args.batch,
-                                           repeat=args.repeat, warmup=args.warmup,
-                                           period=args.period, seed=args.seed))
+            scenarios.append(BenchScenario(model, l_h=fixed_in, l_f=l_f, **shared))
         for l_h in in_lengths:
             if l_h == fixed_in:
                 continue
-            scenarios.append(BenchScenario(model, l_h=l_h, l_f=fixed_out,
-                                           d_m=args.dm, batch=args.batch,
-                                           repeat=args.repeat, warmup=args.warmup,
-                                           period=args.period, seed=args.seed))
+            scenarios.append(BenchScenario(model, l_h=l_h, l_f=fixed_out, **shared))
     records, path = sweep(scenarios, out_dir / "bench.csv")
     for r in records:
         s = r.scenario
@@ -396,30 +389,30 @@ def cmd_synth(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    d = _TRAIN_DEFAULTS
     p.add_argument("--config", help="key=value settings file")
     p.add_argument("--data", help="dataset CSV path")
     p.add_argument("--target", help="value column to forecast")
     p.add_argument("--timestamp-column", dest="timestamp_column")
-    p.add_argument("--lh", type=int, help="history length (default 168)")
-    p.add_argument("--lf", type=int, help="horizon length (default 168)")
-    p.add_argument("--period", type=int, help="period length (default 24)")
-    p.add_argument("--dm", type=int, help="hidden size (default 32)")
+    p.add_argument("--lh", type=int, help=f"history length (default {d['lh']})")
+    p.add_argument("--lf", type=int, help=f"horizon length (default {d['lf']})")
+    p.add_argument("--period", type=int, help=f"period length (default {d['period']})")
+    p.add_argument("--dm", type=int, help=f"hidden size (default {d['dm']})")
     p.add_argument("--norm", type=int, choices=(0, 1), help="per-window normalization")
     p.add_argument("--scale", type=int, choices=(0, 1),
-                   help="z-score the series by train-split statistics (default 1)")
+                   help=f"z-score the series by train-split statistics (default {d['scale']})")
     p.add_argument("--head-shared", dest="head_shared", type=int, choices=(0, 1),
-                   help="share forecast-head weights across phase columns (default 1)")
+                   help="share forecast-head weights across phase columns "
+                        f"(default {d['head_shared']})")
     p.add_argument("--variant", choices=sorted(VARIANTS), help="model variant")
-    p.add_argument("--seed", type=int, help="run seed (default 2023)")
-    p.add_argument("--out", help="output directory (default tpgn-out)")
+    p.add_argument("--seed", type=int, help=f"run seed (default {d['seed']})")
+    p.add_argument("--out", help=f"output directory (default {d['out']})")
     p.add_argument("--noise-eps", dest="noise_eps", type=float,
                    help="fraction of training history points to perturb")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
+    p.add_argument("--lr", type=float, help=f"learning rate (default {d['lr']})")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--c-time", dest="c_time", type=int,
-                   help="number of calendar feature channels (default 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,12 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="efficiency sweeps on synthetic data")
     p_bench.add_argument("--models", default="TPGN,PGN-raw,GRU-seq,LSTM-seq")
     p_bench.add_argument("--out", default="tpgn-out")
-    p_bench.add_argument("--dm", type=int, default=128)
-    p_bench.add_argument("--batch", type=int, default=32)
-    p_bench.add_argument("--repeat", type=int, default=5)
-    p_bench.add_argument("--warmup", type=int, default=2)
-    p_bench.add_argument("--period", type=int, default=24)
-    p_bench.add_argument("--seed", type=int, default=2023)
+    scenario = {f.name: f.default for f in fields(BenchScenario)}
+    p_bench.add_argument("--dm", type=int, default=scenario["d_m"])
+    for name in ("batch", "repeat", "warmup", "period", "seed"):
+        p_bench.add_argument(f"--{name}", type=int, default=scenario[name])
     p_bench.add_argument("--quick", action="store_true",
                          help="small lengths for a fast smoke run")
     p_bench.set_defaults(func=cmd_bench)

@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, config resolution, exit codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from tpgn.cli import main
+from tpgn.bench import BenchScenario
+from tpgn.cli import build_parser, main
+from tpgn.training import Checkpoint, TrainConfig
 
 
 def run_synth(tmp_path, name="data.csv", hours=900, extra=()):
@@ -67,6 +71,21 @@ class TestTrain:
         code = main(["train", "--config", str(cfg), "--data", "x.csv",
                      "--target", "v", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_c_time_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["train", "--data", "x.csv", "--target", "v", "--c-time", "4"])
+        assert exc_info.value.code == 2
+
+    def test_c_time_config_key_exits_2_before_any_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c_time=4\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--data", "x.csv",
+                     "--target", "v", "--out", str(out)])
+        assert code == 2
+        assert "unknown config key 'c_time'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hash_inside_config_value_is_kept(self, tmp_path):
         run_dir = tmp_path / "runs" / "#3"
@@ -146,10 +165,28 @@ class TestEval:
         first = (out / "metrics.csv").read_text()
         second = (out / "metrics.1.csv").read_text()
         assert first == second
+        # the calendar-channel count is read off the data and echoed
+        assert Checkpoint.load(out / "checkpoint.tpgn").config["c_time"] == "4"
+
+    def test_timestamp_column_comes_from_checkpoint(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        lines = data.read_text().splitlines()
+        assert lines[0] == "date,value"
+        data.write_text("\n".join(["ts,value", *lines[1:]]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--timestamp-column", "ts", "--out", str(out), *FAST]) == 0
+        ckpt = str(out / "checkpoint.tpgn")
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert (out / "metrics.csv").read_text() == (out / "metrics.1.csv").read_text()
+        # an explicit flag still wins over the echo
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                     "--timestamp-column", "date", "--out", str(out)]) == 3
+        assert "has no column 'date'" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
-        from tpgn.training import Checkpoint
-
         path = tmp_path / "model.tpgn"
         Checkpoint(tensors={"w": np.arange(4.0)}, config={"l_h": "48"},
                    best_val_loss=0.5, epoch=12).save(path)
@@ -162,8 +199,6 @@ class TestEval:
 
 def _rewrite_checkpoint(path, tensors=None, drop=(), **echo):
     """Load, edit and save a checkpoint: rename tensors, drop or set echo keys."""
-    from tpgn.training import Checkpoint
-
     ckpt = Checkpoint.load(path)
     if tensors is not None:
         ckpt.tensors = {tensors(k): v for k, v in ckpt.tensors.items()}
@@ -230,6 +265,38 @@ class TestDeterminism:
         m1 = (out / "manifest.txt").read_text()
         m2 = (out / "manifest.1.txt").read_text()
         assert m1 == m2
+
+
+class TestSettingsTable:
+    """Each run setting is declared once; the CLI's copies cannot drift."""
+
+    def test_every_train_config_field_is_a_setting(self, tmp_path):
+        cli_name = {"l_h": "lh", "l_f": "lf", "d_m": "dm"}
+        parser = build_parser()
+        cfg_lines = []
+        for f in fields(TrainConfig):
+            key = cli_name.get(f.name, f.name)
+            flag = "--" + key.replace("_", "-")
+            assert getattr(parser.parse_args(["train", flag, str(f.default)]), key) \
+                == f.default
+            cfg_lines.append(f"{key}={f.default}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(cfg_lines) + "\n")
+        # no data: exit 2 after the manifest records the resolved settings
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)]) == 2
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = (out / "manifest.txt").read_text()
+        assert manifest == (out / "manifest.1.txt").read_text()
+        for line in cfg_lines:
+            assert f"\n{line}\n" in f"\n{manifest}"
+
+    def test_bench_defaults_are_the_scenario_defaults(self):
+        args = build_parser().parse_args(["bench"])
+        defaults = {f.name: f.default for f in fields(BenchScenario)}
+        assert args.dm == defaults["d_m"]
+        for name in ("batch", "repeat", "warmup", "period", "seed"):
+            assert getattr(args, name) == defaults[name], name
 
 
 class TestGradcheckCommand:
