@@ -129,14 +129,12 @@ class Graph:
         # an id CPython reuses for a new array after the old one died
         # counts again
         self._seen_arrays: dict[int, Callable[[], object]] = {}
-        self.live_bytes: int = 0
         self.peak_bytes: int = 0
 
     def reset(self) -> None:
-        """Drop every recorded node and the byte counters."""
+        """Drop every recorded node and the byte counter."""
         self.nodes.clear()
         self._seen_arrays.clear()
-        self.live_bytes = 0
         self.peak_bytes = 0
 
     def __len__(self) -> int:
@@ -146,9 +144,7 @@ class Graph:
         seen = self._seen_arrays.get(id(arr))
         if seen is None or seen() is not arr:
             self._seen_arrays[id(arr)] = _identity_ref(arr)
-            self.live_bytes += arr.nbytes
-            if self.live_bytes > self.peak_bytes:
-                self.peak_bytes = self.live_bytes
+            self.peak_bytes += arr.nbytes
 
     def leaf(self, value, op: str = "leaf") -> Tensor:
         """Record a tracked input (parameter or probe point)."""

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import baselines
 from .errors import ConfigError, ContractError
 from .model import (SeriesWindow, TpgnConfig, TpgnParams, flop_count,
-                    tpgn_forward_batch, tpgn_graph_depth)
+                    stack_targets, tpgn_forward_batch, tpgn_graph_depth)
 
 __all__ = [
     "BenchScenario",
@@ -90,7 +90,7 @@ def _tpgn_setup(s: BenchScenario):
                             tf_enc=rng.uniform(-0.5, 0.5, (s.l_h, 4)),
                             y_true=rng.uniform(-1, 1, s.l_f))
                for _ in range(s.batch)]
-    targets = np.stack([w.y_true for w in windows])
+    targets = stack_targets(windows)
 
     def forward(graph):
         leaves = params.leaf_into(graph)

@@ -17,16 +17,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric
 divergence.  Library log records (``tpgn.*``, INFO and up) go to stderr.
 """
 
-# The thread cap must be in the environment before numpy initializes its
-# BLAS backend, so this runs ahead of every other import.
-import os
-
-_threads = os.environ.get("TPGN_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import hashlib
 import logging
@@ -138,6 +128,7 @@ class RunManifest:
 
 
 def _load_windows(res: dict):
+    """The run's series and its (train, validation, test) windows."""
     if not res["data"]:
         raise ConfigError("--data (or a config-file `data` entry) is required")
     if not res["target"]:
@@ -149,7 +140,7 @@ def _load_windows(res: dict):
         # and report losses/metrics in those units
         series, _, _ = data_mod.standardize_series(series)
     spec = data_mod.SplitSpec(l_h=res["lh"], l_f=res["lf"])
-    return data_mod.split_and_window(series, spec)
+    return series, data_mod.split_and_window(series, spec)
 
 
 def _write_metrics(out_dir: Path, metrics: dict[str, float]) -> Path:
@@ -159,14 +150,12 @@ def _write_metrics(out_dir: Path, metrics: dict[str, float]) -> Path:
     return path
 
 
-def _write_predictions(out_dir: Path, window, preds) -> Path:
+def _write_predictions(out_dir: Path, stamps, truth, preds) -> Path:
     path = versioned_path(out_dir / "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,truth,prediction\n")
-        times = window.y_times or ["" for _ in range(window.l_f)]
-        for ts, t, p in zip(times, window.y_true, preds):
-            stamp = ts.strftime("%Y-%m-%d %H:%M:%S") if ts else ""
-            fh.write(f"{stamp},{t!r},{p!r}\n")
+        for ts, t, p in zip(stamps, truth, preds):
+            fh.write(f"{ts.strftime('%Y-%m-%d %H:%M:%S')},{t!r},{p!r}\n")
     return path
 
 
@@ -180,7 +169,7 @@ def cmd_train(args) -> int:
     manifest_path = manifest.write(out_dir)
     print(f"manifest: {manifest_path} (hash {manifest.config_hash[:12]})")
 
-    train_w, val_w, test_w = _load_windows(res)
+    series, (train_w, val_w, test_w) = _load_windows(res)
     if res["noise_eps"] > 0.0:
         spec = data_mod.NoiseSpec(epsilon=res["noise_eps"], rng_seed=res["seed"])
         train_w = data_mod.apply_noise(train_w, spec)
@@ -211,7 +200,11 @@ def cmd_train(args) -> int:
     eval_params, eval_cfg = training.params_from_checkpoint(ckpt)
     first_preds = training.predict_windows(eval_params, test_w[:1],
                                            eval_cfg.model_config())[0]
-    pred_path = _write_predictions(out_dir, test_w[0], first_preds)
+    # the first test window's horizon starts after its history
+    n_train, n_val, _ = data_mod.split_points(len(series))
+    start = n_train + n_val + cfg.l_h
+    pred_path = _write_predictions(out_dir, series.timestamps[start:start + cfg.l_f],
+                                   test_w[0].y_true, first_preds)
     print(f"checkpoint: {ck_path}")
     print(f"epoch log: {log_path}")
     print(f"predictions: {pred_path}")
@@ -235,7 +228,7 @@ def cmd_eval(args) -> int:
             res[key] = flag
     # window geometry always comes from the checkpoint echo
     res["lh"], res["lf"] = cfg.l_h, cfg.l_f
-    _, _, test_w = _load_windows(res)
+    _, (_, _, test_w) = _load_windows(res)
     metrics = training.evaluate(ckpt, test_w)
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

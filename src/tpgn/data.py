@@ -245,23 +245,18 @@ def split_points(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def windows_of(values, l_h: int, l_f: int, feats=None, times=None,
-               ) -> list[SeriesWindow]:
-    """All stride-1 windows of one split: count = n - l_h - l_f + 1."""
+def windows_of(values, l_h: int, l_f: int, feats=None) -> list[SeriesWindow]:
+    """All stride-1 windows of one split: count = n - l_h - l_f + 1.
+
+    Their arrays are views of ``values`` and ``feats`` (when float64).
+    """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if feats is None:
         feats = np.zeros((n, 0))
-    count = n - l_h - l_f + 1
-    out = []
-    for i in range(count):
-        out.append(SeriesWindow(
-            x_1d=values[i:i + l_h],
-            tf_enc=feats[i:i + l_h],
-            y_true=values[i + l_h:i + l_h + l_f],
-            y_times=None if times is None else times[i + l_h:i + l_h + l_f],
-        ))
-    return out
+    return [SeriesWindow(x_1d=values[i:i + l_h], tf_enc=feats[i:i + l_h],
+                         y_true=values[i + l_h:i + l_h + l_f])
+            for i in range(n - l_h - l_f + 1)]
 
 
 def split_and_window(series: RawSeries, spec: SplitSpec,
@@ -283,7 +278,7 @@ def split_and_window(series: RawSeries, spec: SplitSpec,
                 f"{name} split has {hi - lo} points, needs at least {need} "
                 f"for l_h={spec.l_h}, l_f={spec.l_f}")
         splits.append(windows_of(series.values[lo:hi], spec.l_h, spec.l_f,
-                                 feats[lo:hi], series.timestamps[lo:hi]))
+                                 feats[lo:hi]))
     return splits[0], splits[1], splits[2]
 
 
@@ -303,8 +298,7 @@ def inject_noise(window: SeriesWindow, spec: NoiseSpec) -> SeriesWindow:
     x = window.x_1d.copy()
     span = 2.0 * np.abs(x[idx])
     x[idx] += rng.uniform(-span, span)
-    return SeriesWindow(x_1d=x, tf_enc=window.tf_enc, y_true=window.y_true,
-                        y_times=window.y_times)
+    return SeriesWindow(x_1d=x, tf_enc=window.tf_enc, y_true=window.y_true)
 
 
 def apply_noise(windows, spec: NoiseSpec) -> list[SeriesWindow]:

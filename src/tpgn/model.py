@@ -60,6 +60,7 @@ __all__ = [
     "VARIANTS",
     "FlopCount",
     "prepare_input",
+    "stack_targets",
     "long_branch",
     "short_branch",
     "forecast_head",
@@ -81,14 +82,14 @@ class SeriesWindow:
     """One training sample: history, calendar features and future targets.
 
     Values are kept in original units; :func:`prepare_input` normalizes
-    each window's history by its own moments.  ``y_times`` optionally
-    carries the horizon timestamps for prediction dumps.
+    each window's history by its own moments.  Float64 arrays are kept as
+    given (views, for the windows of a split); :func:`prepare_input` and
+    :func:`stack_targets` reject NaN or Inf once per stacked batch.
     """
 
     x_1d: np.ndarray    # [L_h]
     tf_enc: np.ndarray  # [L_h, C_time], already scaled to [-0.5, 0.5]
     y_true: np.ndarray  # [L_f]
-    y_times: list | None = None
 
     def __post_init__(self):
         self.x_1d = np.asarray(self.x_1d, dtype=np.float64)
@@ -100,10 +101,6 @@ class SeriesWindow:
             raise DimensionError(
                 f"tf_enc shape {self.tf_enc.shape} does not match history length "
                 f"{self.x_1d.shape[0]}")
-        for name, arr in (("x_1d", self.x_1d), ("tf_enc", self.tf_enc),
-                          ("y_true", self.y_true)):
-            if not np.all(np.isfinite(arr)):
-                raise ContractError(f"{name} contains NaN or Inf")
 
     @property
     def l_h(self) -> int:
@@ -282,6 +279,7 @@ def prepare_input(windows, norm: int, period: int,
     sigma = SIGMA_FLOOR, so rounding noise stays near zero instead of being
     blown up to unit scale; the number of such windows is logged.  Under
     norm=0 the values pass through unchanged and the stats are None.
+    A NaN or Inf in any history or time feature raises ContractError.
     """
     if norm not in (0, 1):
         raise ConfigError(f"norm must be 0 or 1, got {norm}")
@@ -293,6 +291,8 @@ def prepare_input(windows, norm: int, period: int,
     except ValueError:
         raise ConfigError("windows of one batch differ in history length or "
                           "time features") from None
+    if not (np.isfinite(x).all() and np.isfinite(tf).all()):
+        raise ContractError("history or time features contain NaN or Inf")
     batch, l_h = x.shape
     if period < 1 or l_h % period:
         raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
@@ -309,6 +309,14 @@ def prepare_input(windows, norm: int, period: int,
         x = (x - mu[:, None]) / stats.sigma[:, None]
     grids = np.concatenate([x[:, :, None], tf], axis=2)
     return grids.reshape(batch, l_h // period, period, grids.shape[2]), stats
+
+
+def stack_targets(windows) -> np.ndarray:
+    """The batch's targets [B, L_f]; a NaN or Inf raises ContractError."""
+    y = np.stack([w.y_true for w in windows])
+    if not np.isfinite(y).all():
+        raise ContractError("targets contain NaN or Inf")
+    return y
 
 
 # ---------------------------------------------------------------------------

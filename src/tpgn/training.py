@@ -22,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import VARIANTS, TpgnConfig, TpgnParams, tpgn_forward_batch
+from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_targets,
+                    tpgn_forward_batch)
 
 __all__ = [
     "TrainConfig",
@@ -322,7 +323,7 @@ def predict_windows(params: TpgnParams, windows, mcfg: TpgnConfig) -> np.ndarray
 
 def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:
     preds = predict_windows(params, windows, mcfg)
-    targets = np.stack([w.y_true for w in windows])
+    targets = stack_targets(windows)
     return mse(preds, targets)
 
 
@@ -389,7 +390,7 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
             graph = ad.Graph()
             leaves = params.leaf_into(graph)
             preds = tpgn_forward_batch(batch, params, mcfg, weights=leaves)
-            targets = np.stack([w.y_true for w in batch])
+            targets = stack_targets(batch)
             diff = ad.sub(preds, ad.constant(targets))
             loss = ad.reduce_mean(ad.mul(diff, diff))
             loss_value = loss.item()
@@ -426,5 +427,5 @@ def evaluate(ckpt: Checkpoint, test_windows) -> dict[str, float]:
         raise ConfigError("evaluation needs at least one window")
     params, cfg = params_from_checkpoint(ckpt)
     preds = predict_windows(params, test_windows, cfg.model_config())
-    targets = np.stack([w.y_true for w in test_windows])
+    targets = stack_targets(test_windows)
     return {"mse": mse(preds, targets), "mae": mae(preds, targets)}

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config resolution, exit codes."""
 
 from dataclasses import fields
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ class TestTrain:
         for name in ("manifest.txt", "checkpoint.tpgn", "epoch_log.csv",
                      "metrics.csv", "predictions.csv"):
             assert (out / name).exists(), name
+        # 900 synthetic hours from 2020-01-01 split 540:180:180; the first
+        # test window's 24-hour horizon follows its 48-hour history
+        start = datetime(2020, 1, 1) + timedelta(hours=540 + 180 + 48)
+        rows = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            (start + timedelta(hours=i)).strftime("%Y-%m-%d %H:%M:%S") for i in range(24)]
 
     def test_manifest_written_before_failure(self, tmp_path):
         out = tmp_path / "run"

@@ -169,13 +169,26 @@ class TestSplitAndWindow:
 
     def test_no_leakage_across_splits(self):
         n = 120
-        s = RawSeries(hourly(n), np.arange(float(n)), "v")
+        stamps = hourly(n)
+        s = RawSeries(stamps, np.arange(float(n)), "v")
         train, val, test = split_and_window(s, SplitSpec(l_h=8, l_f=4))
-        last_train_time = max(max(w.y_times) for w in train)
-        first_test_time = min(min(w.y_times) for w in test)
+        # values are the index, so each target value names its timestamp
+        last_train_time = stamps[int(max(w.y_true.max() for w in train))]
+        first_test_time = stamps[int(min(w.y_true.min() for w in test))]
         assert first_test_time > last_train_time
-        # values are the index, so the same holds for the data itself
         assert train[-1].y_true[-1] < test[0].x_1d[0]
+
+    def test_windows_are_views_of_the_split(self):
+        from tpgn.data import windows_of
+
+        values, feats = np.arange(1.0, 7.0), np.zeros((6, 2))
+        for w in windows_of(values, l_h=2, l_f=1, feats=feats):
+            assert np.shares_memory(w.x_1d, values)
+            assert np.shares_memory(w.y_true, values)
+            assert np.shares_memory(w.tf_enc, feats)
+        s = RawSeries(hourly(60), np.arange(60.0), "v")
+        for split in split_and_window(s, SplitSpec(l_h=4, l_f=2)):
+            assert all(np.shares_memory(w.x_1d, s.values) for w in split)
 
     def test_too_short_split_rejected(self):
         s = RawSeries(hourly(30), np.zeros(30), "v")

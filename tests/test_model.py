@@ -1,10 +1,12 @@
 """Two-branch forecaster: grid layout, branches, head mapping, costs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tpgn import autodiff as ad
-from tpgn.errors import ConfigError
+from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (VARIANTS, NormStats, SeriesWindow, TpgnConfig,
                         TpgnParams, _forward_core, finite_diff_all_params,
                         flop_count, forecast_head, long_branch, param_count,
@@ -329,6 +331,16 @@ class TestTpgnForward:
         windows = [make_window(l_h, l_f, c_time) for l_h, l_f, c_time in shapes]
         with pytest.raises(ConfigError):
             tpgn_forward_batch(windows, params, cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["x_1d", "tf_enc"])
+    def test_non_finite_input_rejected(self, field, value):
+        params, cfg = make_model()
+        good = make_window(8, 8, seed=1)
+        arr = getattr(good, field).copy()
+        arr.flat[3] = value
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            tpgn_forward_batch([good, replace(good, **{field: arr})], params, cfg)
 
     def test_variant_cell_mismatch_rejected(self):
         params, _ = make_model()  # no cell attached

@@ -1,6 +1,7 @@
 """Metrics, Adam, the fit loop, early stopping and checkpoints."""
 
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ def make_windows(n, l_h=8, l_f=8, c_time=1, seed=0, zeros=False):
             tf = rng.uniform(-0.5, 0.5, (l_h, c_time))
         out.append(SeriesWindow(x_1d=x, tf_enc=tf, y_true=y))
     return out
+
+
+def poison(windows, index, field, value):
+    """A copy of ``windows`` whose window ``index`` has ``value`` in ``field``."""
+    arr = getattr(windows[index], field).copy()
+    arr.flat[2] = value
+    return windows[:index] + [replace(windows[index], **{field: arr})] + windows[index + 1:]
+
+
+NON_FINITE = pytest.mark.parametrize("field,value", [
+    ("x_1d", np.nan), ("tf_enc", np.inf), ("y_true", np.nan), ("y_true", -np.inf)])
 
 
 def tiny_config(**overrides):
@@ -171,6 +183,16 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(tiny_params(cfg), [], make_windows(2), cfg)
 
+    @NON_FINITE
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_non_finite_window_rejected(self, split, field, value):
+        cfg = tiny_config()
+        windows = make_windows(8, seed=3)
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            bad = poison(windows, 5, field, value)
+            train, val = (bad, windows) if split == "train" else (windows, bad)
+            fit(tiny_params(cfg), train, val, cfg)
+
     def test_partial_final_batch_kept(self):
         cfg = tiny_config(batch_size=4, max_epochs=1, patience=1)
         params = tiny_params(cfg)
@@ -242,6 +264,15 @@ class TestEvaluate:
         b = evaluate(ckpt, list(reversed(windows)))
         assert a["mse"] == pytest.approx(b["mse"], abs=1e-15)
         assert a["mae"] == pytest.approx(b["mae"], abs=1e-15)
+
+    @NON_FINITE
+    def test_non_finite_window_rejected(self, field, value):
+        cfg = tiny_config()
+        ckpt = Checkpoint(tensors=tiny_params(cfg).named_arrays(),
+                          config={**cfg.as_dict(), "c_time": "1", "head_shared": "1"},
+                          best_val_loss=0.0, epoch=1)
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            evaluate(ckpt, poison(make_windows(6, seed=20), 4, field, value))
 
     def test_empty_window_sets_rejected(self):
         cfg = tiny_config()
