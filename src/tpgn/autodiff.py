@@ -53,6 +53,7 @@ __all__ = [
     "slice_rows",
     "causal_blocks",
     "sequence_blocks",
+    "small_gemm",
     "causal_linear",
     "linear",
     "lerp",
@@ -523,6 +524,12 @@ def sequence_blocks(m: int, rows: int, d: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, m // (_SMALL_GEMM_OUTPUTS // d + 1)))
     bounds = [k * m // parts for k in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def small_gemm(outputs: int) -> bool:
+    """Whether a GEMM with this many outputs takes OpenBLAS's small-matrix
+    kernel, which sums in another order than the blocked one."""
+    return outputs <= _SMALL_GEMM_OUTPUTS
 
 
 def _zero_padded(x: np.ndarray) -> np.ndarray:

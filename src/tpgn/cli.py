@@ -155,7 +155,8 @@ def _write_predictions(out_dir: Path, stamps, truth, preds) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,truth,prediction\n")
         for ts, t, p in zip(stamps, truth, preds):
-            fh.write(f"{ts.strftime('%Y-%m-%d %H:%M:%S')},{t!r},{p!r}\n")
+            # plain floats: a numpy scalar's repr is np.float64(...) under numpy 2
+            fh.write(f"{ts.strftime('%Y-%m-%d %H:%M:%S')},{float(t)!r},{float(p)!r}\n")
     return path
 
 

@@ -31,11 +31,15 @@ and the benchmark feed it constant grids, and the depth probe feeds it a
 tracked one.  The parameters hold only the weights their variant uses,
 and the variant is read off them.
 
-The long branch's column sequences are independent, so when nothing is
-tracked it runs them in cache-sized blocks (:func:`autodiff.sequence_blocks`)
-instead of one pass over [B*P*R, d] activations; every block GEMM stays
-above OpenBLAS's small-matrix limit, so the result is byte-equal to one
-pass.  A tracked pass stays one block, because blocks would sum each
+The long branch's column sequences are independent, and windows cut one
+step apart share them: column p of window i+1 is column p+1 of window i,
+so N consecutive windows hold N+P-1 distinct columns, not N*P.  When
+nothing is tracked the long branch finds these repeats by comparing the
+values (shuffled batches and norm=1 grids have none), runs each distinct
+column once, in cache-sized blocks (:func:`autodiff.sequence_blocks`), and
+gathers the summaries; no GEMM crosses OpenBLAS's small-matrix limit, so
+the result is byte-equal to one pass over every column.  A tracked pass
+stays one pass over every column, because anything else would sum each
 weight gradient in another order.
 """
 
@@ -60,6 +64,7 @@ __all__ = [
     "VARIANTS",
     "FlopCount",
     "prepare_input",
+    "stack_inputs",
     "stack_targets",
     "long_branch",
     "short_branch",
@@ -283,16 +288,7 @@ def prepare_input(windows, norm: int, period: int,
     """
     if norm not in (0, 1):
         raise ConfigError(f"norm must be 0 or 1, got {norm}")
-    if not windows:
-        raise ContractError("empty window batch")
-    try:
-        x = np.stack([w.x_1d for w in windows])     # [B, L_h]
-        tf = np.stack([w.tf_enc for w in windows])  # [B, L_h, C_time]
-    except ValueError:
-        raise ConfigError("windows of one batch differ in history length or "
-                          "time features") from None
-    if not (np.isfinite(x).all() and np.isfinite(tf).all()):
-        raise ContractError("history or time features contain NaN or Inf")
+    x, tf = stack_inputs(windows)
     batch, l_h = x.shape
     if period < 1 or l_h % period:
         raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
@@ -309,6 +305,25 @@ def prepare_input(windows, norm: int, period: int,
         x = (x - mu[:, None]) / stats.sigma[:, None]
     grids = np.concatenate([x[:, :, None], tf], axis=2)
     return grids.reshape(batch, l_h // period, period, grids.shape[2]), stats
+
+
+def stack_inputs(windows) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's histories [B, L_h] and time features [B, L_h, C_time].
+
+    Windows of unequal lengths raise ConfigError, a NaN or Inf raises
+    ContractError.
+    """
+    if not windows:
+        raise ContractError("empty window batch")
+    try:
+        x = np.stack([w.x_1d for w in windows])
+        tf = np.stack([w.tf_enc for w in windows])
+    except ValueError:
+        raise ConfigError("windows of one batch differ in history length or "
+                          "time features") from None
+    if not (np.isfinite(x).all() and np.isfinite(tf).all()):
+        raise ContractError("history or time features contain NaN or Inf")
+    return x, tf
 
 
 def stack_targets(windows) -> np.ndarray:
@@ -340,13 +355,39 @@ def _collapse_rows(x: Tensor, groups: int, rows: int, weight: Tensor,
     return ad.add(ad.reshape(agg, (groups, d)), bias)
 
 
+def _first_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the columns [B, P, R, c] run, and where each one's summary is.
+
+    Window i continues window i-1 when its columns 0..P-2 equal the
+    predecessor's columns 1..P-1 bit for bit (so -0.0 never stands in for
+    0.0), as for windows cut one step apart from one series.  Column p of window i then repeats column
+    p+k of window i-k, k = min(windows since the run began, P-1-p), so only
+    the columns with k = 0 run.  Returns their flat (b, p)-major indices and,
+    for every column, the position of its source among them.
+    """
+    b, period = cols.shape[:2]
+    bits = cols.view(np.uint64)
+    follows = np.zeros(b, dtype=bool)
+    follows[1:] = (bits[1:, :-1] == bits[:-1, 1:]).all(axis=(1, 2, 3))
+    i = np.arange(b)
+    since = i - np.maximum.accumulate(np.where(follows, 0, i))
+    k = np.minimum(since[:, None], np.arange(period - 1, -1, -1))
+    first = (k == 0).ravel()
+    source = (i[:, None] - k) * period + np.arange(period) + k
+    return np.flatnonzero(first), (np.cumsum(first) - 1)[source.ravel()]
+
+
 def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major.
 
     The B*P column sequences are independent, so an untracked pass runs
-    them in the cache-sized blocks of :func:`autodiff.sequence_blocks`, byte
-    for byte as one pass would.  A tracked pass stays one block: blocks
-    would sum each weight gradient in another order.
+    each distinct one once (consecutive windows share all but one column
+    with their predecessor, see :func:`_first_columns`), in the cache-sized
+    blocks of :func:`autodiff.sequence_blocks`, and gathers the summaries,
+    byte for byte as one pass over all of them would.  Repeats still all
+    run when dropping them would take the smallest GEMM under OpenBLAS's
+    small-matrix limit.  A tracked pass stays one pass over every column:
+    anything else would sum each weight gradient in another order.
     """
     b, rows, period, c = grid.shape
     m = b * period
@@ -355,11 +396,15 @@ def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     if seqs.tracked or any(t.tracked for t in w.values()):
         return _collapse_rows(apply(seqs, cell_w), m, rows, w["long_w"], w["long_b"])
     d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
-    out = np.empty((m, d))
-    for s, e in ad.sequence_blocks(m, rows, d):
-        part = apply(ad.constant(seqs.data[s:e]), cell_w)
+    run, source = _first_columns(seqs.data.reshape(b, period, rows, c))
+    todo = seqs.data
+    if len(run) < m and ad.small_gemm(len(run) * d) == ad.small_gemm(m * d):
+        todo = todo[run]
+    out = np.empty((len(todo), d))
+    for s, e in ad.sequence_blocks(len(todo), rows, d):
+        part = apply(ad.constant(todo[s:e]), cell_w)
         out[s:e] = _collapse_rows(part, e - s, rows, w["long_w"], w["long_b"]).data
-    return ad.constant(out)
+    return ad.constant(out if len(todo) == m else out[source])
 
 
 def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
@@ -470,6 +515,11 @@ class FlopCount:
     sums the cost of a single application of each linear layer (one step,
     one patch, one column) - the quantity whose growth the square-root
     complexity claim is about.
+
+    These are the nominal dense counts for one window, every column through
+    the cell.  An untracked batch of consecutive windows runs each shared
+    column once (:func:`long_branch`), so it executes fewer long-branch MACs
+    than the batch size times ``long_branch``.
     """
 
     long_branch: int

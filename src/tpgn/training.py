@@ -22,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_targets,
-                    tpgn_forward_batch)
+from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_inputs,
+                    stack_targets, tpgn_forward_batch)
 
 __all__ = [
     "TrainConfig",
@@ -327,6 +327,14 @@ def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:
     return mse(preds, targets)
 
 
+def _check_windows(windows) -> None:
+    """Stack every window once, a bounded chunk at a time: a NaN or Inf
+    raises ContractError before any weight changes."""
+    for lo in range(0, len(windows), _EVAL_CHUNK):
+        stack_inputs(windows[lo:lo + _EVAL_CHUNK])
+        stack_targets(windows[lo:lo + _EVAL_CHUNK])
+
+
 def _keep_freed_step_memory() -> None:
     """Ask glibc to keep freed training-step memory for the next step.
 
@@ -348,8 +356,10 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
     ``batch_size`` (final partial batch kept), and then scores the full
     validation set.  Training stops at ``max_epochs`` or after
     ``patience`` consecutive epochs without a strictly lower validation
-    loss.  A non-finite loss or gradient aborts with the last good
-    checkpoint attached to the raised :class:`DivergenceError`.
+    loss.  A NaN or Inf in any training or validation window raises
+    ContractError before the first step; a non-finite loss or gradient
+    aborts with the last good checkpoint attached to the raised
+    :class:`DivergenceError`.
     """
     if not train_windows or not val_windows:
         raise ConfigError("training and validation window sets must be non-empty")
@@ -360,6 +370,8 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
         if getattr(cfg, name) != have:
             raise ConfigError(f"config {name}={getattr(cfg, name)} does not match "
                               f"the model's {have}")
+    _check_windows(train_windows)
+    _check_windows(val_windows)
     mcfg = cfg.model_config()
     _keep_freed_step_memory()
     arrays = params.named_arrays()

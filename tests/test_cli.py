@@ -6,9 +6,11 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from tpgn import data as data_mod
 from tpgn.bench import BenchScenario
 from tpgn.cli import build_parser, main
-from tpgn.training import Checkpoint, TrainConfig
+from tpgn.model import tpgn_forward
+from tpgn.training import Checkpoint, TrainConfig, params_from_checkpoint
 
 
 def run_synth(tmp_path, name="data.csv", hours=900, extra=()):
@@ -44,9 +46,19 @@ class TestTrain:
         # 900 synthetic hours from 2020-01-01 split 540:180:180; the first
         # test window's 24-hour horizon follows its 48-hour history
         start = datetime(2020, 1, 1) + timedelta(hours=540 + 180 + 48)
-        rows = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
-        assert [row.split(",")[0] for row in rows[1:]] == [
+        rows = [row.split(",") for row in
+                (out / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[0] for row in rows] == [
             (start + timedelta(hours=i)).strftime("%Y-%m-%d %H:%M:%S") for i in range(24)]
+        # truth and prediction are plain numbers: the first test window's
+        # targets and the checkpoint's forecast of that window
+        series = data_mod.standardize_series(
+            data_mod.aggregate_hourly(data_mod.load_csv(data, "value")))[0]
+        test_w = data_mod.split_and_window(series, data_mod.SplitSpec(l_h=48, l_f=24))[2]
+        params, cfg = params_from_checkpoint(Checkpoint.load(out / "checkpoint.tpgn"))
+        forecast = tpgn_forward(test_w[0], params, cfg.model_config()).data
+        assert [float(row[1]) for row in rows] == test_w[0].y_true.tolist()
+        assert [float(row[2]) for row in rows] == forecast.tolist()
 
     def test_manifest_written_before_failure(self, tmp_path):
         out = tmp_path / "run"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tpgn import autodiff as ad
+from tpgn import baselines
+from tpgn.data import windows_of
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (VARIANTS, NormStats, SeriesWindow, TpgnConfig,
                         TpgnParams, _forward_core, finite_diff_all_params,
@@ -398,6 +400,89 @@ class TestTrackedGridForward:
             params, cfg = make_model(l_h=l_h, l_f=8, period=4, hidden=2, seed=31)
             depths.append(tpgn_graph_depth(params, cfg))
         assert depths[0] == depths[1] == depths[2]
+
+
+def consecutive_windows(n, l_h=48, l_f=16, c_time=4, seed=60):
+    """The first ``n`` stride-1 windows of one random series."""
+    rng = np.random.default_rng(seed)
+    hours = n + l_h + l_f - 1
+    return windows_of(rng.uniform(-1, 1, hours), l_h, l_f,
+                      rng.uniform(-0.5, 0.5, (hours, c_time)))
+
+
+class TestRepeatedColumns:
+    """Consecutive windows share columns; the untracked long branch runs each once."""
+
+    # gru/lstm at d=32 with a few windows are where the distinct columns
+    # alone would fall under OpenBLAS's small-GEMM limit
+    CASES = [(d, n) for d in (8, 32) for n in (1, 2, 3, 5, 9, 13, 40)]
+
+    @pytest.mark.parametrize("kind", sorted(baselines.CELLS))
+    def test_long_branch_matches_shuffled_batch(self, kind):
+        # shuffling breaks the runs of consecutive windows, so nearly every column runs
+        variant = "full" if kind == "pgn" else kind
+        for d, n in self.CASES:
+            windows = consecutive_windows(n)
+            order = np.random.default_rng(n).permutation(n)
+            params = TpgnParams.init(48, 16, 8, 4, d, np.random.default_rng(d),
+                                     VARIANTS[variant])
+            w = params.constants()
+            for norm in (0, 1):
+                grid, _ = prepare_input(windows, norm, 8)
+                mixed, _ = prepare_input([windows[i] for i in order], norm, 8)
+                fast = long_branch(ad.constant(grid), w, kind).data.reshape(n, 8, d)
+                every = np.empty_like(fast)
+                every[order] = long_branch(ad.constant(mixed), w, kind).data.reshape(n, 8, d)
+                assert np.array_equal(fast, every), (d, n, norm)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_forward_matches_one_pass_over_every_column(self, variant):
+        # the tracked forward runs every column in one pass; the batch keeps
+        # its order, because the per-phase head's small GEMMs are not
+        # byte-equal across row orders
+        for d, n in self.CASES:
+            windows = consecutive_windows(n)
+            for norm in (0, 1):
+                grid, stats = prepare_input(windows, norm, 8)
+                for shared in (True, False):
+                    params = TpgnParams.init(48, 16, 8, 4, d, np.random.default_rng(d),
+                                             VARIANTS[variant], head_shared=shared)
+                    cfg = TpgnConfig(norm=norm, period=8, variant=VARIANTS[variant])
+                    fast = tpgn_forward_batch(windows, params, cfg).data
+                    g = ad.Graph()
+                    every = _forward_core(g.leaf(grid, op="input"), stats,
+                                          params.leaf_into(g), params).data
+                    assert np.array_equal(fast, every), (d, n, norm, shared)
+
+    @pytest.mark.parametrize("kind", ["pgn", "gru"])
+    def test_cell_sees_each_distinct_column_once(self, kind, monkeypatch):
+        seen = []
+        cell = baselines.CELLS[kind]
+
+        def counting(x, w):
+            seen.append(x.shape[0])
+            return cell.apply(x, w)
+
+        monkeypatch.setitem(baselines.CELLS, kind, replace(cell, apply=counting))
+        variant = "full" if kind == "pgn" else kind
+        params = TpgnParams.init(48, 16, 8, 4, 32, np.random.default_rng(61),
+                                 VARIANTS[variant])
+        windows = consecutive_windows(40)
+
+        def columns_run(batch, norm):
+            seen.clear()
+            tpgn_forward_batch(batch, params,
+                               TpgnConfig(norm=norm, period=8, variant=VARIANTS[variant]))
+            return sum(seen)
+
+        assert columns_run(windows, 0) == 40 + 8 - 1
+        assert columns_run(windows[::-1], 0) == 40 * 8
+        odd_then_even = [*windows[1::2], *windows[::2]]  # no window follows its predecessor
+        assert columns_run(odd_then_even, 0) == 40 * 8
+        assert columns_run(windows, 1) == 40 * 8  # each window z-scored apart
+        assert columns_run(windows[:1], 0) == 8
+        # two runs of consecutive windows: each starts with all its columns
+        assert columns_run(windows[:20] + windows[25:], 0) == 2 * (8 - 1) + 35
 
 
 class TestGradients:

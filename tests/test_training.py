@@ -193,6 +193,19 @@ class TestFit:
             train, val = (bad, windows) if split == "train" else (windows, bad)
             fit(tiny_params(cfg), train, val, cfg)
 
+    def test_non_finite_window_rejected_before_any_step(self):
+        # one poisoned window among four shuffled batches: fit raises
+        # before any batch has updated the weights in place
+        cfg = tiny_config(batch_size=2)
+        params = tiny_params(cfg)
+        before = {k: a.copy() for k, a in params.named_arrays().items()}
+        train = poison(make_windows(8, seed=3), 7, "x_1d", np.nan)
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            fit(params, train, make_windows(4, seed=4), cfg)
+        after = params.named_arrays()
+        assert len(after) == 14
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
     def test_partial_final_batch_kept(self):
         cfg = tiny_config(batch_size=4, max_epochs=1, patience=1)
         params = tiny_params(cfg)
