@@ -502,26 +502,31 @@ def causal_blocks(m: int, length: int, c: int, d: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-# Independent sequences can run through a cell in row blocks: each output row
-# of a GEMM above the small-matrix limit is summed alike however many rows
-# the GEMM has.  Blocks whose [rows*block, d] activations fit about 1 MiB
-# stay in cache instead of faulting in fresh pages (0.5 and 2 MiB measured
-# within 10% of it); a block's smallest GEMM, one GRU/LSTM step or the row
-# collapse with block*d outputs, must stay above 1200 outputs.
+# Independent items (column sequences, forecast windows) can run in row
+# blocks: each output row of a GEMM above the small-matrix limit is summed
+# alike however many rows the GEMM has.  Blocks whose activations fit about
+# 1 MiB stay in cache instead of faulting in fresh pages (0.5 and 2 MiB
+# measured within 10% of it); a block's smallest GEMM must stay above 1200
+# outputs.  A product with one output column runs OpenBLAS's GEMV path
+# instead, whose row blocks do not sum like the whole product, so it never
+# splits.
 _SEQUENCE_BLOCK_BYTES = 1 << 20
 _SMALL_GEMM_OUTPUTS = 1200
 
 
-def sequence_blocks(m: int, rows: int, d: int) -> list[tuple[int, int]]:
-    """Blocks [s, e) of ``m`` independent sequences that an untracked cell runs apart.
+def sequence_blocks(m: int, item_bytes: int, item_outputs: int,
+                    columns: int) -> list[tuple[int, int]]:
+    """Blocks [s, e) of ``m`` independent items that an untracked pass runs apart.
 
-    Each sequence has ``rows`` steps of ``d`` float64 outputs.  The plan is
-    one block when all of them fit the byte budget, otherwise just enough
-    blocks of near-equal size (differing by at most one) to fit it, but
-    never so many that a block has ``block*d <= 1200``.
+    Each item holds ``item_bytes`` of activations and adds ``item_outputs``
+    outputs, in ``columns`` output columns, to the pass's smallest GEMM.
+    The plan is one block when all items fit the byte budget or when
+    ``columns`` is 1, otherwise just enough blocks of near-equal size
+    (differing by at most one) to fit it, but never so many that a block's
+    GEMM has 1200 outputs or fewer.
     """
-    parts = -(-m * rows * d * 8 // _SEQUENCE_BLOCK_BYTES)
-    parts = max(1, min(parts, m // (_SMALL_GEMM_OUTPUTS // d + 1)))
+    parts = 1 if columns == 1 else -(-m * item_bytes // _SEQUENCE_BLOCK_BYTES)
+    parts = max(1, min(parts, m // (_SMALL_GEMM_OUTPUTS // item_outputs + 1)))
     bounds = [k * m // parts for k in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 

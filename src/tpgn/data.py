@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, DataError
 from .model import SeriesWindow
 
 __all__ = [
@@ -317,10 +317,16 @@ def synthetic_sinusoid(n_hours: int, period: float = 24.0, amplitude: float = 1.
 
     ``phase_drift`` (radians per hour) slides the within-period pattern
     over time, which separates models that track the period axis from
-    models that only summarize whole periods.
+    models that only summarize whole periods.  A length under 1, a period
+    that is not positive, a negative noise or a non-finite setting raises
+    ConfigError.
     """
-    if n_hours < 1:
-        raise ContractError("n_hours must be positive")
+    if (n_hours < 1 or not period > 0 or not noise >= 0
+            or not np.isfinite([period, amplitude, mean, phase_drift, noise]).all()):
+        raise ConfigError(
+            f"synthetic series needs n_hours >= 1, period > 0, noise >= 0 and finite "
+            f"settings; got n_hours={n_hours}, period={period}, amplitude={amplitude}, "
+            f"mean={mean}, phase_drift={phase_drift}, noise={noise}")
     t0 = datetime.fromisoformat(start)
     t = np.arange(n_hours, dtype=np.float64)
     values = mean + amplitude * np.sin(2.0 * np.pi * t / period + phase_drift * t)

@@ -35,12 +35,14 @@ The long branch's column sequences are independent, and windows cut one
 step apart share them: column p of window i+1 is column p+1 of window i,
 so N consecutive windows hold N+P-1 distinct columns, not N*P.  When
 nothing is tracked the long branch finds these repeats by comparing the
-values (shuffled batches and norm=1 grids have none), runs each distinct
-column once, in cache-sized blocks (:func:`autodiff.sequence_blocks`), and
-gathers the summaries; no GEMM crosses OpenBLAS's small-matrix limit, so
-the result is byte-equal to one pass over every column.  A tracked pass
-stays one pass over every column, because anything else would sum each
-weight gradient in another order.
+values (shuffled batches and norm=1 grids have none), gathers each
+distinct column from the grid and runs it once, in cache-sized blocks
+(:func:`autodiff.sequence_blocks`), and the shared head maps cache-sized
+blocks of windows without building the [B*P, 2d] joint array.  No GEMM
+crosses OpenBLAS's small-matrix limit and no GEMV is split, so the result
+is byte-equal to one pass.  A tracked pass stays one pass over every
+column, because anything else would sum each weight gradient in another
+order.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ __all__ = [
     "VARIANTS",
     "FlopCount",
     "prepare_input",
-    "stack_inputs",
+    "stack_grid",
     "stack_targets",
     "long_branch",
     "short_branch",
@@ -279,51 +281,56 @@ def prepare_input(windows, norm: int, period: int,
                   ) -> tuple[np.ndarray, NormStats | None]:
     """Normalize each history and stack the batch into grids [B, R, P, c].
 
-    The moments use the population divisor L_h.  Under norm=1 a constant
-    or near-constant history (sigma below SIGMA_FLOOR) is normalized with
-    sigma = SIGMA_FLOOR, so rounding noise stays near zero instead of being
-    blown up to unit scale; the number of such windows is logged.  Under
-    norm=0 the values pass through unchanged and the stats are None.
-    A NaN or Inf in any history or time feature raises ContractError.
+    The batch is written once, into the one buffer of :func:`stack_grid`,
+    and channel 0 is normalized in place.  The moments use the population
+    divisor L_h.  Under norm=1 a constant or near-constant history (sigma
+    below SIGMA_FLOOR) is normalized with sigma = SIGMA_FLOOR, so rounding
+    noise stays near zero instead of being blown up to unit scale; the
+    number of such windows is logged.  Under norm=0 the values pass through
+    unchanged and the stats are None.  A NaN or Inf in any history or time
+    feature raises ContractError.
     """
     if norm not in (0, 1):
         raise ConfigError(f"norm must be 0 or 1, got {norm}")
-    x, tf = stack_inputs(windows)
-    batch, l_h = x.shape
+    grid = stack_grid(windows)
+    batch, l_h, c = grid.shape
     if period < 1 or l_h % period:
         raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
     stats = None
     if norm == 1:
+        x = grid[:, :, 0]
         mu = x.mean(axis=1)
-        sigma = np.sqrt(((x - mu[:, None]) ** 2).mean(axis=1))
+        dev = x - mu[:, None]
+        sigma = np.sqrt((dev ** 2).mean(axis=1))
         flat = np.count_nonzero(sigma < SIGMA_FLOOR)
         if flat:
             logger.warning("%d of %d history windows are near-constant (sigma < %g); "
                            "normalizing them with sigma=%g", flat, batch,
                            SIGMA_FLOOR, SIGMA_FLOOR)
         stats = NormStats(mu, np.maximum(sigma, SIGMA_FLOOR))
-        x = (x - mu[:, None]) / stats.sigma[:, None]
-    grids = np.concatenate([x[:, :, None], tf], axis=2)
-    return grids.reshape(batch, l_h // period, period, grids.shape[2]), stats
+        np.divide(dev, stats.sigma[:, None], out=x)
+    return grid.reshape(batch, l_h // period, period, c), stats
 
 
-def stack_inputs(windows) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's histories [B, L_h] and time features [B, L_h, C_time].
+def stack_grid(windows) -> np.ndarray:
+    """The batch's histories and time features in one array [B, L_h, 1+C_time].
 
-    Windows of unequal lengths raise ConfigError, a NaN or Inf raises
-    ContractError.
+    Channel 0 is the history.  Windows of unequal lengths raise ConfigError,
+    a NaN or Inf raises ContractError.
     """
     if not windows:
         raise ContractError("empty window batch")
+    first = windows[0]
+    grid = np.empty((len(windows), first.l_h, 1 + first.c_time))
     try:
-        x = np.stack([w.x_1d for w in windows])
-        tf = np.stack([w.tf_enc for w in windows])
+        np.stack([w.x_1d for w in windows], out=grid[:, :, 0])
+        np.stack([w.tf_enc for w in windows], out=grid[:, :, 1:])
     except ValueError:
         raise ConfigError("windows of one batch differ in history length or "
                           "time features") from None
-    if not (np.isfinite(x).all() and np.isfinite(tf).all()):
+    if not np.isfinite(grid).all():
         raise ContractError("history or time features contain NaN or Inf")
-    return x, tf
+    return grid
 
 
 def stack_targets(windows) -> np.ndarray:
@@ -381,39 +388,57 @@ def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major.
 
     The B*P column sequences are independent, so an untracked pass runs
-    each distinct one once (consecutive windows share all but one column
-    with their predecessor, see :func:`_first_columns`), in the cache-sized
-    blocks of :func:`autodiff.sequence_blocks`, and gathers the summaries,
-    byte for byte as one pass over all of them would.  Repeats still all
-    run when dropping them would take the smallest GEMM under OpenBLAS's
-    small-matrix limit.  A tracked pass stays one pass over every column:
-    anything else would sum each weight gradient in another order.
+    each distinct one once (:func:`_distinct_summaries`) and gathers the
+    summaries, byte for byte as one pass over all of them would.  A tracked
+    pass stays one pass over every column: anything else would sum each
+    weight gradient in another order.
+    """
+    b, rows, period, c = grid.shape
+    if grid.tracked or any(t.tracked for t in w.values()):
+        seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
+        cells = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
+        return _collapse_rows(cells, b * period, rows, w["long_w"], w["long_b"])
+    out, source = _distinct_summaries(grid.data, w, kind)
+    return ad.constant(out if source is None else out[source])
+
+
+def _distinct_summaries(grid: np.ndarray, w: dict[str, Tensor], kind: str,
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Untracked: summaries [n, hidden] of the distinct columns, gathered
+    from the grid (:func:`_first_columns`) and run in the cache-sized
+    blocks of :func:`autodiff.sequence_blocks`, and each column's row among
+    them (None when every column ran).  Every column runs when dropping the
+    repeats would take the smallest GEMM under OpenBLAS's small-matrix
+    limit, or at hidden = 1, where the cell's GEMVs sum by row count.
     """
     b, rows, period, c = grid.shape
     m = b * period
-    seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (m, rows, c))
     apply, cell_w = baselines.CELLS[kind].apply, _cell_keys(w, "cell.")
-    if seqs.tracked or any(t.tracked for t in w.values()):
-        return _collapse_rows(apply(seqs, cell_w), m, rows, w["long_w"], w["long_b"])
     d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
-    run, source = _first_columns(seqs.data.reshape(b, period, rows, c))
-    todo = seqs.data
-    if len(run) < m and ad.small_gemm(len(run) * d) == ad.small_gemm(m * d):
-        todo = todo[run]
+    cols = grid.transpose(0, 2, 1, 3)
+    run, source = _first_columns(cols)
+    if d > 1 and len(run) < m and ad.small_gemm(len(run) * d) == ad.small_gemm(m * d):
+        todo = grid[run // period, :, run % period]
+    else:
+        todo, source = cols.reshape(m, rows, c), None
     out = np.empty((len(todo), d))
-    for s, e in ad.sequence_blocks(len(todo), rows, d):
+    for s, e in ad.sequence_blocks(len(todo), rows * d * 8, d, d):
         part = apply(ad.constant(todo[s:e]), cell_w)
         out[s:e] = _collapse_rows(part, e - s, rows, w["long_w"], w["long_b"]).data
-    return ad.constant(out if len(todo) == m else out[source])
+    return out, source
+
+
+def _global_vector(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
+    """The short branch's patch summary of each grid: [B, hidden]."""
+    b, rows, period, c = grid.shape
+    rows_flat = ad.reshape(grid, (b * rows, period * c))
+    patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
+    return _collapse_rows(patches, b, rows, w["col_w"], w["col_b"])
 
 
 def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
     """Global patch summary of each grid, repeated per column: [B*P, hidden]."""
-    b, rows, period, c = grid.shape
-    rows_flat = ad.reshape(grid, (b * rows, period * c))
-    patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
-    global_vec = _collapse_rows(patches, b, rows, w["col_w"], w["col_b"])
-    return ad.repeat_rows(global_vec, period)
+    return ad.repeat_rows(_global_vector(grid, w), grid.shape[2])
 
 
 def forecast_head(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
@@ -441,17 +466,57 @@ def forecast_head(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
             outs.append(ad.linear(rows, w_p, b_p))       # [B, R_f]
         y3 = ad.permute(ad.reshape(ad.concat(outs, axis=0),
                                    (period, batch, r_f)), (1, 2, 0))
-    out = ad.reshape(y3, (batch, r_f * period))
+    return _forecasts(y3, stats)
+
+
+def _forecasts(y3: Tensor, stats: NormStats | None) -> Tensor:
+    """Head outputs [B, R_f, P] -> forecasts [B, L_f], de-normalized with ``stats``."""
+    out = ad.reshape(y3, (y3.shape[0], y3.shape[1] * y3.shape[2]))
     if stats is not None:
         out = ad.add(ad.mul(out, ad.constant(stats.sigma[:, None])),
                      ad.constant(stats.mu[:, None]))
     return out
 
 
+def _blocked_shared_head(grid: np.ndarray, w: dict[str, Tensor],
+                         params: TpgnParams) -> np.ndarray:
+    """The untracked shared head's [B*P, R_f], one block of windows at a time.
+
+    Each block fills one reused [block*P, 2d] buffer, the left half from
+    the distinct long summaries by index and the right half from each
+    window's global vector, and maps it with one GEMM.  The plan
+    (:func:`autodiff.sequence_blocks`) keeps every GEMM above the
+    small-matrix limit and never splits a GEMV (R_f = 1), so each row sums
+    as in one product over the whole batch.
+    """
+    batch, period, d, r_f = grid.shape[0], params.period, params.hidden, params.horizon_rows
+    variant = params.variant
+    blocks = ad.sequence_blocks(batch, period * 2 * d * 8, period * r_f, r_f)
+    buf = np.zeros((max(e - s for s, e in blocks) * period, 2 * d))
+    y2d = np.empty((batch * period, r_f))
+    if variant.long_branch != "off":
+        long_out, source = _distinct_summaries(grid, w, variant.long_branch)
+    if variant.short_branch:
+        global_vec = _global_vector(ad.constant(grid), w).data
+    for s, e in blocks:
+        joint, cols = buf[:(e - s) * period], slice(s * period, e * period)
+        if variant.long_branch != "off":
+            joint[:, :d] = long_out[cols if source is None else source[cols]]
+        if variant.short_branch:
+            joint.reshape(e - s, period, 2 * d)[:, :, d:] = global_vec[s:e, None]
+        np.matmul(joint, w["head_w"].data.T, out=y2d[cols])
+    y2d += w["head_b"].data
+    return y2d
+
+
 def _forward_core(grid: Tensor, stats: NormStats | None,
                   w: dict[str, Tensor], params: TpgnParams) -> Tensor:
     """The model forward: grid [B, R, P, c] -> predictions [B, L_f]."""
     batch, _, period, _ = grid.shape
+    if params.head_shared and not (grid.tracked or any(t.tracked for t in w.values())):
+        y2d = _blocked_shared_head(grid.data, w, params)  # [B*P, R_f]
+        y3 = y2d.reshape(batch, period, -1).transpose(0, 2, 1)
+        return _forecasts(ad.constant(y3), stats)
     zeros = ad.constant(np.zeros((batch * period, params.hidden)))
     variant = params.variant
     kind = variant.long_branch

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_inputs,
+from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_grid,
                     stack_targets, tpgn_forward_batch)
 
 __all__ = [
@@ -42,8 +42,8 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"TPGN1"
 # windows per untracked forward during evaluation: bounds the memory of the
-# input grids, the short branch and the head; the long branch runs in its
-# own cache-sized blocks (model.long_branch)
+# input grids and the short branch; the long branch and the shared head run
+# in their own cache-sized blocks (model.long_branch, model.forecast_head)
 _EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -331,7 +331,7 @@ def _check_windows(windows) -> None:
     """Stack every window once, a bounded chunk at a time: a NaN or Inf
     raises ContractError before any weight changes."""
     for lo in range(0, len(windows), _EVAL_CHUNK):
-        stack_inputs(windows[lo:lo + _EVAL_CHUNK])
+        stack_grid(windows[lo:lo + _EVAL_CHUNK])
         stack_targets(windows[lo:lo + _EVAL_CHUNK])
 
 

@@ -329,23 +329,34 @@ class TestSequenceBlocks:
         "long_history 3-window check": ((3 * 24, 60, 128), 5, {14, 15}),
     }
 
+    @staticmethod
+    def plan(m, rows, d):
+        """The long branch's plan: R steps of d outputs per sequence."""
+        return ad.sequence_blocks(m, rows * d * 8, d, d)
+
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_plan_of_each_untracked_shape(self, name):
         shape, count, sizes = self.PLANS[name]
-        blocks = ad.sequence_blocks(*shape)
+        blocks = self.plan(*shape)
         assert len(blocks) == count
         assert {e - s for s, e in blocks} == sizes
 
     def test_long_history_blocks_in_order(self):
-        assert ad.sequence_blocks(72, 60, 128) == [
+        assert self.plan(72, 60, 128) == [
             (0, 14), (14, 28), (28, 43), (43, 57), (57, 72)]
 
     def test_no_block_at_or_under_the_small_gemm_limit(self):
         # 1 MiB would want 4 blocks of 150 sequences, but 150*8 = 1200
         # outputs is small-matrix territory, so three blocks of 200
-        assert ad.sequence_blocks(600, 109, 8) == [(0, 200), (200, 400), (400, 600)]
-        assert ad.sequence_blocks(1201, 1000, 1) == [(0, 1201)]
-        assert ad.sequence_blocks(2402, 1000, 1) == [(0, 1201), (1201, 2402)]
+        assert self.plan(600, 109, 8) == [(0, 200), (200, 400), (400, 600)]
+        assert self.plan(1201, 1000, 2) == [(0, 1201)]
+        assert self.plan(1202, 1000, 2) == [(0, 601), (601, 1202)]
+
+    def test_one_output_column_never_splits(self):
+        # at d = 1 the cell's products are GEMVs, whose row blocks do not
+        # sum like the whole product
+        assert self.plan(1201, 1000, 1) == [(0, 1201)]
+        assert self.plan(2402, 1000, 1) == [(0, 2402)]
 
 
 class TestReduce:

@@ -32,6 +32,17 @@ class TestSynth:
         series = load_csv(path, "value")
         assert len(series) == 100
 
+    @pytest.mark.parametrize("flags", [
+        ["--hours", "0"], ["--period", "0"], ["--period", "nan"],
+        ["--amplitude", "nan"], ["--mean", "inf"], ["--drift", "nan"],
+        ["--noise", "-1"],
+    ], ids=" ".join)
+    def test_bad_setting_exits_2_before_any_file(self, tmp_path, flags, capsys):
+        out = tmp_path / "sub" / "data.csv"
+        assert main(["synth", "--out", str(out), *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_happy_path_writes_all_artifacts(self, tmp_path):

@@ -302,6 +302,16 @@ class TestSynthetic:
         deltas = {b - a for a, b in zip(s.timestamps, s.timestamps[1:])}
         assert deltas == {timedelta(hours=1)}
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_hours": 0}, {"period": 0.0}, {"period": -24.0}, {"period": float("nan")},
+        {"period": float("inf")}, {"amplitude": float("nan")}, {"mean": float("inf")},
+        {"phase_drift": float("nan")}, {"noise": -1.0}, {"noise": float("nan")},
+    ], ids=str)
+    def test_bad_setting_rejected(self, kwargs):
+        args = {"n_hours": 48, **kwargs}
+        with pytest.raises(ConfigError):
+            synthetic_sinusoid(args.pop("n_hours"), **args)
+
 
 class TestRawSeries:
     def test_strictly_increasing_enforced(self):

@@ -9,11 +9,12 @@ from tpgn import autodiff as ad
 from tpgn import baselines
 from tpgn.data import windows_of
 from tpgn.errors import ConfigError, ContractError
-from tpgn.model import (VARIANTS, NormStats, SeriesWindow, TpgnConfig,
-                        TpgnParams, _forward_core, finite_diff_all_params,
-                        flop_count, forecast_head, long_branch, param_count,
-                        prepare_input, short_branch, tpgn_forward,
-                        tpgn_forward_batch, tpgn_graph_depth)
+from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
+                        TpgnConfig, TpgnParams, _forward_core,
+                        finite_diff_all_params, flop_count, forecast_head,
+                        long_branch, param_count, prepare_input, short_branch,
+                        stack_grid, tpgn_forward, tpgn_forward_batch,
+                        tpgn_graph_depth)
 from tpgn.pgn import pgn_forward_oracle
 
 
@@ -94,6 +95,31 @@ class TestPrepareInput:
         w = SeriesWindow(x_1d=np.zeros(5), tf_enc=np.zeros((5, 0)), y_true=[0.0])
         with pytest.raises(ConfigError, match="multiple"):
             prepare_input([w], norm=0, period=2)
+
+    @pytest.mark.parametrize("l_h", [168, 1440])
+    @pytest.mark.parametrize("norm", [0, 1])
+    def test_one_buffer_matches_stack_then_concatenate(self, l_h, norm):
+        # the grid builder writes each value once and normalizes in place;
+        # the reference stacks both fields, normalizes a copy and concatenates
+        hours = 40 + l_h
+        rng = np.random.default_rng(l_h)
+        windows = windows_of(3.0 * rng.normal(size=hours) + 1.0, l_h, 24,
+                             rng.uniform(-0.5, 0.5, (hours, 4)))
+        x = np.stack([w.x_1d for w in windows])
+        tf = np.stack([w.tf_enc for w in windows])
+        if norm:
+            mu = x.mean(axis=1)
+            sigma = np.maximum(np.sqrt(((x - mu[:, None]) ** 2).mean(axis=1)),
+                               SIGMA_FLOOR)
+            x = (x - mu[:, None]) / sigma[:, None]
+        want = np.concatenate([x[:, :, None], tf], axis=2)
+        grid, stats = prepare_input(windows, norm, 24)
+        assert grid.tobytes() == want.reshape(grid.shape).tobytes()
+        if norm:
+            assert stats.mu.tobytes() == mu.tobytes()
+            assert stats.sigma.tobytes() == sigma.tobytes()
+        else:
+            assert stats is None
 
 
 class TestLongBranch:
@@ -341,8 +367,12 @@ class TestTpgnForward:
         good = make_window(8, 8, seed=1)
         arr = getattr(good, field).copy()
         arr.flat[3] = value
-        with pytest.raises(ContractError, match="NaN or Inf"):
-            tpgn_forward_batch([good, replace(good, **{field: arr})], params, cfg)
+        bad = replace(good, **{field: arr})
+        for batch in ([good, bad], [bad, good]):
+            with pytest.raises(ContractError, match="NaN or Inf"):
+                tpgn_forward_batch(batch, params, cfg)
+            with pytest.raises(ContractError, match="NaN or Inf"):
+                stack_grid(batch)
 
     def test_variant_cell_mismatch_rejected(self):
         params, _ = make_model()  # no cell attached
@@ -379,7 +409,7 @@ class TestTrackedGridForward:
     def test_blocked_long_branch_matches_tracked(self, variant):
         # 128 windows at 168->168 with d_m=32: the untracked long branch
         # runs in several sequence blocks, the tracked one in a single block
-        assert len(ad.sequence_blocks(128 * 24, 7, 32)) > 1
+        assert len(ad.sequence_blocks(128 * 24, 7 * 32 * 8, 32, 32)) > 1
         windows = [make_window(168, 168, c_time=4, seed=s) for s in range(128)]
         for norm in (0, 1):
             for shared in (True, False):
@@ -483,6 +513,86 @@ class TestRepeatedColumns:
         assert columns_run(windows[:1], 0) == 8
         # two runs of consecutive windows: each starts with all its columns
         assert columns_run(windows[:20] + windows[25:], 0) == 2 * (8 - 1) + 35
+
+    @pytest.mark.parametrize("n,l_h,norm", [
+        (1500, 168, 0),  # 1,523 distinct of 36,000 columns
+        (301, 1440, 1),  # every column distinct: 3.5 MB of activations
+    ])
+    def test_hidden_one_runs_every_column_in_one_pass(self, n, l_h, norm):
+        # at d_m = 1 the cell's [n, c] @ [c, 1] products are GEMVs, whose
+        # sums depend on their row count: neither dropping the repeats nor
+        # splitting into sequence blocks is byte-equal there
+        windows = consecutive_windows(n, l_h=l_h, l_f=24)
+        params = TpgnParams.init(l_h, 24, 24, 4, 1, np.random.default_rng(62),
+                                 VARIANTS["mlp"])
+        assert np.array_equal(untracked_forward(windows, params, norm),
+                              tracked_forward(windows, params, norm))
+
+
+def untracked_forward(windows, params, norm):
+    cfg = TpgnConfig(norm=norm, period=params.period, variant=params.variant)
+    return tpgn_forward_batch(windows, params, cfg).data
+
+
+def tracked_forward(windows, params, norm):
+    """The forward as training runs it: one pass over every column and window."""
+    grid, stats = prepare_input(windows, norm, params.period)
+    g = ad.Graph()
+    return _forward_core(g.leaf(grid, op="input"), stats, params.leaf_into(g),
+                         params).data
+
+
+def head_plan(n, period=8, d=32, r_f=2):
+    """The window blocks of the untracked shared head."""
+    return ad.sequence_blocks(n, period * 2 * d * 8, period * r_f, r_f)
+
+
+class TestBlockedSharedHead:
+    """The untracked shared head maps a cache-sized block of windows at a time."""
+
+    def test_plan_fits_one_mebibyte(self):
+        # [P, 2d] = 4 KiB of head operands per window at P=8, d=32
+        assert head_plan(256) == [(0, 256)]
+        assert head_plan(257) == [(0, 128), (128, 257)]
+        assert head_plan(512) == [(0, 256), (256, 512)]
+        assert head_plan(600) == [(0, 200), (200, 400), (400, 600)]
+
+    def test_no_block_at_or_under_the_small_gemm_limit(self):
+        # 192 KiB per window at P=24, d=512 would want 19 blocks of 100
+        # windows, but a block needs 26 windows (26*24*2 = 1248 outputs)
+        assert head_plan(51, period=24, d=512) == [(0, 51)]
+        assert head_plan(52, period=24, d=512) == [(0, 26), (26, 52)]
+        assert head_plan(100, period=24, d=512) == [(0, 33), (33, 66), (66, 100)]
+        for n in range(1, 400, 7):
+            blocks = head_plan(n, period=24, d=512)
+            assert len(blocks) == 1 or min(e - s for s, e in blocks) * 48 > 1200
+
+    def test_one_output_column_never_splits(self):
+        # [n, 2d] @ [2d, 1] runs OpenBLAS's GEMV path: its row blocks do not
+        # sum like the whole product
+        assert head_plan(600, r_f=1) == [(0, 600)]
+        assert head_plan(100, period=24, d=512, r_f=1) == [(0, 100)]
+
+    @pytest.mark.parametrize("variant", ["full", "long", "short", "gru"])
+    @pytest.mark.parametrize("n", [100, 256, 257, 512, 600])
+    def test_matches_tracked_forward(self, variant, n):
+        # one block (100, 256), two of unequal size, exactly two, and three
+        windows = consecutive_windows(n)
+        for norm in (0, 1):
+            params = TpgnParams.init(48, 16, 8, 4, 32, np.random.default_rng(n),
+                                     VARIANTS[variant])
+            assert np.array_equal(untracked_forward(windows, params, norm),
+                                  tracked_forward(windows, params, norm)), norm
+
+    @pytest.mark.parametrize("variant", ["full", "short"])
+    def test_one_output_column_matches_tracked_forward(self, variant):
+        windows = consecutive_windows(600, l_f=8)
+        params = TpgnParams.init(48, 8, 8, 4, 32, np.random.default_rng(63),
+                                 VARIANTS[variant])
+        assert params.horizon_rows == 1
+        for norm in (0, 1):
+            assert np.array_equal(untracked_forward(windows, params, norm),
+                                  tracked_forward(windows, params, norm)), norm
 
 
 class TestGradients:

@@ -51,13 +51,13 @@ def test_causal_linear_gradient(m, length, c, d, operand, seed):
 @SETTINGS
 @given(m=st.integers(1, 20000), rows=st.integers(1, 200), d=st.integers(1, 256))
 def test_sequence_blocks_tile_evenly_above_the_small_gemm_limit(m, rows, d):
-    blocks = ad.sequence_blocks(m, rows, d)
+    blocks = ad.sequence_blocks(m, rows * d * 8, d, d)
     assert blocks[0][0] == 0 and blocks[-1][1] == m
     assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
     sizes = [e - s for s, e in blocks]
     assert max(sizes) - min(sizes) <= 1
     if len(blocks) > 1:
-        assert min(sizes) * d > 1200
+        assert min(sizes) * d > 1200 and d > 1
 
 
 @st.composite
