@@ -17,8 +17,8 @@ from .autodiff import (Graph, GradientMap, ParamSet, Tensor, backward,
 from .errors import (ConfigError, ContractError, DataError, DimensionError,
                      DivergenceError, TpgnError)
 from .pgn import PgnOutput, PgnParams, pgn_apply, pgn_forward, pgn_forward_oracle
-from .baselines import (CELLS, GruParams, LstmParams, MlpParams, cell_forward,
-                        recurrent_forward, sequence_graph_depth)
+from .baselines import (CELLS, GruParams, LstmParams, MlpParams, recurrent_forward,
+                        sequence_graph_depth)
 from .model import (VARIANTS, FlopCount, NormStats, SeriesWindow, TpgnConfig,
                     TpgnParams, TpgnVariant, flop_count, forecast_head,
                     long_branch, param_count, prepare_input, short_branch,

@@ -493,9 +493,10 @@ def causal_blocks(m: int, length: int, c: int, d: int) -> list[tuple[int, int]]:
     ``m`` sequences of ``length`` steps and ``c`` channels map to ``d``
     outputs.  The plan is one block unless a split is byte-equal to the
     dense product and pays off; a split has blocks of 4 steps, the first
-    one taking the remainder.
+    one taking the remainder.  At ``d`` = 1 each block would be a GEMV,
+    whose row sums depend on the row count, so that never splits.
     """
-    if ((length - 1) * c > _GEMM_K_BLOCK or length < _MIN_SPLIT_LENGTH
+    if (d == 1 or (length - 1) * c > _GEMM_K_BLOCK or length < _MIN_SPLIT_LENGTH
             or m * _BLOCK_STEPS * d < _MIN_BLOCK_OUTPUTS):
         return [(0, length)]
     bounds = [0, *range(_BLOCK_STEPS + length % _BLOCK_STEPS, length + 1, _BLOCK_STEPS)]
@@ -606,22 +607,30 @@ def causal_linear(x, w, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map x [n, k] -> x @ w.T + b with w [m, k] and b [m]."""
+    """Affine map x [..., n, k] -> x @ w.T + b with w [..., m, k] and b [..., m].
+
+    Leading axes stack independent maps: slice i of x goes through slice i
+    of w and b, each as the 2-D product it would be on its own.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    lead = x.shape[:-2]
+    if (x.data.ndim < 2 or w.data.ndim != x.data.ndim or b.data.ndim != x.data.ndim - 1
+            or w.shape[:-2] != lead or b.shape[:-1] != lead):
         raise DimensionError(
-            f"linear expects x[n,k], w[m,k], b[m]; got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+            "linear expects x[..., n, k], w[..., m, k], b[..., m] with equal leading "
+            f"axes; got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[-1] or w.shape[-2] != b.shape[-1]:
         raise DimensionError(
             f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    value = x.data @ w.data.T
-    value += b.data
+    value = x.data @ np.swapaxes(w.data, -1, -2)
+    value += b.data[..., None, :]
     xd, wd = x.data, w.data
     need_x, need_w, need_b = x.tracked, w.tracked, b.tracked
 
     def vjp(g):
-        return (g @ wd if need_x else None, g.T @ xd if need_w else None,
-                g.sum(axis=0) if need_b else None)
+        return (g @ wd if need_x else None,
+                np.swapaxes(g, -1, -2) @ xd if need_w else None,
+                g.sum(axis=-2) if need_b else None)
 
     return _emit("linear", (x, w, b), value, vjp)
 

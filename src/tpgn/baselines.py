@@ -11,8 +11,8 @@ sequences [M, L, c] in lockstep, one batched cell step per time step.
 :data:`CELLS` is the one place that decides "which cell, which weights":
 it maps each kind (``pgn``, ``gru``, ``lstm``, ``mlp``) to its parameter
 class, its batched apply [M, L, c] -> [M*L, d] and its multiply-accumulate
-count.  The model, the benchmark, the per-sequence :func:`cell_forward` and
-the depth probe :func:`sequence_graph_depth` all dispatch through it.
+count.  The model, the benchmark and the depth probe
+:func:`sequence_graph_depth` all dispatch through it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, ParamSet, Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .pgn import PgnParams, pgn_apply, pgn_macs
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CELLS",
     "cell_kind",
     "new_cell",
-    "cell_forward",
     "gru_step",
     "lstm_step",
     "recurrent_forward",
@@ -225,33 +224,14 @@ def new_cell(kind: str, length: int, in_channels: int, hidden: int,
     return cls.init(*(sizes[f.name] for f in fields(cls) if f.name in sizes), rng)
 
 
-def cell_forward(x, params: ParamSet, graph: Graph | None = None) -> Tensor:
-    """Every state [L, hidden] a cell emits over one sequence [L, c].
-
-    With ``graph`` given, the input and every weight become tracked leaves,
-    so gradients and path lengths can be read off afterwards; without it
-    the computation stays plain numpy.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    params.validate()
-    if x.ndim != 2 or x.shape[1] != params.in_channels:
-        raise DimensionError(
-            f"input shape {x.shape} does not match in_channels {params.in_channels}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("input contains non-finite entries")
-    apply = CELLS[cell_kind(params)].apply
-    if graph is None:
-        return apply(ad.constant(x[None]), params.constants())
-    return apply(graph.leaf(x[None], op="input"), params.leaf_into(graph))
-
-
 def sequence_graph_depth(params: ParamSet, length: int) -> int:
     """Longest op chain from a length-``length`` input to the last state.
 
     Grows at least linearly with ``length`` for the recurrent cells; that
     chain is what the parallel cell removes (its depth is constant).
     """
+    params.validate()
     graph = Graph()
-    out = cell_forward(np.zeros((length, params.in_channels)), params, graph)
-    input_id = next(i for i, n in enumerate(graph.nodes) if n.op == "input")
-    return graph.longest_path(input_id, out.node_id)
+    x = graph.leaf(np.zeros((1, length, params.in_channels)), op="input")
+    out = CELLS[cell_kind(params)].apply(x, params.leaf_into(graph))
+    return graph.longest_path(x.node_id, out.node_id)

@@ -294,6 +294,7 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
     c_rep = rng.uniform(-1, 1, (12, 3))
     c_lin = rng.uniform(-1, 1, (4, 2))
     c_cat = rng.uniform(-1, 1, (8, 3))
+    c_stack = rng.uniform(-1, 1, (2, 2, 2))
     cx, cm, cw, cb, co = (ad.constant(v) for v in (x, m, w, b, other))
     cases = {
         "matmul": (lambda t: ad.reduce_sum(ad.matmul(t, cm)), x),
@@ -330,6 +331,10 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
                                                     ad.constant(c_lin))), w),
         "linear.b": (lambda t: ad.reduce_sum(ad.mul(ad.linear(cx, cw, t),
                                                     ad.constant(c_lin))), b),
+        # a stack of two maps, with t in all three operands
+        "linear.stacked": (lambda t: ad.reduce_sum(ad.mul(ad.linear(
+            ad.reshape(t, (2, 2, 3)), ad.reshape(t, (2, 2, 3)),
+            ad.reduce_sum(ad.reshape(t, (2, 2, 3)), axis=2)), ad.constant(c_stack))), x),
         "lerp": (lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(t), t, co)), x),
         "lerp.b": (lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(cx), co, t)), x),
         "repeat_rows": (lambda t: ad.reduce_sum(ad.mul(ad.repeat_rows(t, 3),

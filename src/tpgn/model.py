@@ -18,9 +18,10 @@ Two branches read the grid:
 
 The head concatenates both branches per column and maps each column to
 its R_f future values (weights shared across columns by default, one map
-per phase when head sharing is off).  The resulting [P, R_f] grid is
-transposed and flattened so output index i = r_f*P + p, then
-de-normalized back to original units when normalization is on.
+per phase, run as one stacked product, when head sharing is off).  The
+resulting [P, R_f] grid is transposed and flattened so output index
+i = r_f*P + p, then de-normalized back to original units when
+normalization is on.
 
 Everything here is pure in (windows, params) and batch-first:
 :func:`prepare_input` turns a batch of windows into one grid tensor
@@ -31,18 +32,19 @@ and the benchmark feed it constant grids, and the depth probe feeds it a
 tracked one.  The parameters hold only the weights their variant uses,
 and the variant is read off them.
 
-The long branch's column sequences are independent, and windows cut one
-step apart share them: column p of window i+1 is column p+1 of window i,
-so N consecutive windows hold N+P-1 distinct columns, not N*P.  When
-nothing is tracked the long branch finds these repeats by comparing the
-values (shuffled batches and norm=1 grids have none), gathers each
-distinct column from the grid and runs it once, in cache-sized blocks
-(:func:`autodiff.sequence_blocks`), and the shared head maps cache-sized
-blocks of windows without building the [B*P, 2d] joint array.  No GEMM
-crosses OpenBLAS's small-matrix limit and no GEMV is split, so the result
-is byte-equal to one pass.  A tracked pass stays one pass over every
-column, because anything else would sum each weight gradient in another
-order.
+The forward has two paths, each covering every variant and both head
+modes.  A tracked pass runs the taped branch and head functions over
+every column, because anything else would sum each weight gradient in
+another order.  An untracked pass (:func:`_blocked_head`) exploits that
+the long branch's column sequences are independent and that windows cut
+one step apart share them: column p of window i+1 is column p+1 of
+window i, so N consecutive windows hold N+P-1 distinct columns, not N*P.
+It finds these repeats by comparing the values (shuffled batches and
+norm=1 grids have none), gathers each distinct column from the grid and
+runs it once, in cache-sized blocks (:func:`autodiff.sequence_blocks`),
+and maps cache-sized blocks of windows through the head without building
+the [B*P, 2d] joint array.  No GEMM crosses OpenBLAS's small-matrix limit
+and no GEMV is split, so the result is byte-equal to the tracked pass.
 """
 
 from __future__ import annotations
@@ -387,19 +389,14 @@ def _first_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major.
 
-    The B*P column sequences are independent, so an untracked pass runs
-    each distinct one once (:func:`_distinct_summaries`) and gathers the
-    summaries, byte for byte as one pass over all of them would.  A tracked
-    pass stays one pass over every column: anything else would sum each
-    weight gradient in another order.
+    One pass over every column, as training differentiates it; the
+    untracked forward runs each distinct column once instead
+    (:func:`_distinct_summaries`).
     """
     b, rows, period, c = grid.shape
-    if grid.tracked or any(t.tracked for t in w.values()):
-        seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
-        cells = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
-        return _collapse_rows(cells, b * period, rows, w["long_w"], w["long_b"])
-    out, source = _distinct_summaries(grid.data, w, kind)
-    return ad.constant(out if source is None else out[source])
+    seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
+    cells = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
+    return _collapse_rows(cells, b * period, rows, w["long_w"], w["long_b"])
 
 
 def _distinct_summaries(grid: np.ndarray, w: dict[str, Tensor], kind: str,
@@ -453,19 +450,10 @@ def forecast_head(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
         y2d = ad.linear(joint, w["head_w"], w["head_b"])  # [B*P, R_f]
         y3 = ad.permute(ad.reshape(y2d, (batch, period, r_f)), (0, 2, 1))
     else:
-        # one weight set per phase column: regroup rows phase-major, apply
-        # each phase's map to its own block, then restore the layout
-        by_phase = ad.reshape(ad.permute(
-            ad.reshape(joint, (batch, period, 2 * d)), (1, 0, 2)),
-            (period * batch, 2 * d))
-        outs = []
-        for p in range(period):
-            rows = ad.slice_rows(by_phase, p * batch, (p + 1) * batch)
-            w_p = ad.reshape(ad.slice_rows(w["head_w"], p, p + 1), (r_f, 2 * d))
-            b_p = ad.reshape(ad.slice_rows(w["head_b"], p, p + 1), (r_f,))
-            outs.append(ad.linear(rows, w_p, b_p))       # [B, R_f]
-        y3 = ad.permute(ad.reshape(ad.concat(outs, axis=0),
-                                   (period, batch, r_f)), (1, 2, 0))
+        # one map per phase column: regroup the rows phase-major and run
+        # the [P, R_f, 2d] weights as one stacked product
+        by_phase = ad.permute(ad.reshape(joint, (batch, period, 2 * d)), (1, 0, 2))
+        y3 = ad.permute(ad.linear(by_phase, w["head_w"], w["head_b"]), (1, 2, 0))
     return _forecasts(y3, stats)
 
 
@@ -478,22 +466,24 @@ def _forecasts(y3: Tensor, stats: NormStats | None) -> Tensor:
     return out
 
 
-def _blocked_shared_head(grid: np.ndarray, w: dict[str, Tensor],
-                         params: TpgnParams) -> np.ndarray:
-    """The untracked shared head's [B*P, R_f], one block of windows at a time.
+def _blocked_head(grid: np.ndarray, w: dict[str, Tensor],
+                  params: TpgnParams) -> np.ndarray:
+    """The untracked head's outputs [B, P, R_f], one block of windows at a time.
 
     Each block fills one reused [block*P, 2d] buffer, the left half from
     the distinct long summaries by index and the right half from each
-    window's global vector, and maps it with one GEMM.  The plan
+    window's global vector, and maps it with one GEMM, or with one stacked
+    GEMM of ``block`` rows per phase for the per-phase head.  The plan
     (:func:`autodiff.sequence_blocks`) keeps every GEMM above the
     small-matrix limit and never splits a GEMV (R_f = 1), so each row sums
     as in one product over the whole batch.
     """
     batch, period, d, r_f = grid.shape[0], params.period, params.hidden, params.horizon_rows
-    variant = params.variant
-    blocks = ad.sequence_blocks(batch, period * 2 * d * 8, period * r_f, r_f)
+    variant, head_w = params.variant, w["head_w"].data
+    gemm_outputs = period * r_f if params.head_shared else r_f  # per window
+    blocks = ad.sequence_blocks(batch, period * 2 * d * 8, gemm_outputs, r_f)
     buf = np.zeros((max(e - s for s, e in blocks) * period, 2 * d))
-    y2d = np.empty((batch * period, r_f))
+    y = np.empty((batch, period, r_f))
     if variant.long_branch != "off":
         long_out, source = _distinct_summaries(grid, w, variant.long_branch)
     if variant.short_branch:
@@ -504,19 +494,26 @@ def _blocked_shared_head(grid: np.ndarray, w: dict[str, Tensor],
             joint[:, :d] = long_out[cols if source is None else source[cols]]
         if variant.short_branch:
             joint.reshape(e - s, period, 2 * d)[:, :, d:] = global_vec[s:e, None]
-        np.matmul(joint, w["head_w"].data.T, out=y2d[cols])
-    y2d += w["head_b"].data
-    return y2d
+        if params.head_shared:
+            np.matmul(joint, head_w.T, out=y[s:e].reshape(-1, r_f))
+        else:
+            np.matmul(joint.reshape(e - s, period, 2 * d).transpose(1, 0, 2),
+                      head_w.transpose(0, 2, 1), out=y[s:e].transpose(1, 0, 2))
+    y += w["head_b"].data
+    return y
 
 
 def _forward_core(grid: Tensor, stats: NormStats | None,
                   w: dict[str, Tensor], params: TpgnParams) -> Tensor:
-    """The model forward: grid [B, R, P, c] -> predictions [B, L_f]."""
+    """The model forward: grid [B, R, P, c] -> predictions [B, L_f].
+
+    A tracked pass runs the branches and the head as taped ops over every
+    column; an untracked one runs :func:`_blocked_head`.
+    """
     batch, _, period, _ = grid.shape
-    if params.head_shared and not (grid.tracked or any(t.tracked for t in w.values())):
-        y2d = _blocked_shared_head(grid.data, w, params)  # [B*P, R_f]
-        y3 = y2d.reshape(batch, period, -1).transpose(0, 2, 1)
-        return _forecasts(ad.constant(y3), stats)
+    if not (grid.tracked or any(t.tracked for t in w.values())):
+        y = _blocked_head(grid.data, w, params)  # [B, P, R_f]
+        return _forecasts(ad.constant(y.transpose(0, 2, 1)), stats)
     zeros = ad.constant(np.zeros((batch * period, params.hidden)))
     variant = params.variant
     kind = variant.long_branch
@@ -583,8 +580,8 @@ class FlopCount:
 
     These are the nominal dense counts for one window, every column through
     the cell.  An untracked batch of consecutive windows runs each shared
-    column once (:func:`long_branch`), so it executes fewer long-branch MACs
-    than the batch size times ``long_branch``.
+    column once (:func:`_distinct_summaries`), so it executes fewer
+    long-branch MACs than the batch size times ``long_branch``.
     """
 
     long_branch: int

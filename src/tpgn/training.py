@@ -42,8 +42,8 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"TPGN1"
 # windows per untracked forward during evaluation: bounds the memory of the
-# input grids and the short branch; the long branch and the shared head run
-# in their own cache-sized blocks (model.long_branch, model.forecast_head)
+# input grids and the short branch; the long branch and the head run in
+# their own cache-sized blocks (model._blocked_head)
 _EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -254,9 +254,11 @@ class TestCausalLinear:
             assert np.array_equal(out[m * 30:(m + 1) * 30], single)
 
     # blocked forwards (the long-history cell, and a batch of one window of
-    # it), one-block short sequences, and one block when (L-1)*c > 384
+    # it), one-block short sequences, one block when (L-1)*c > 384, and one
+    # block at d = 1, where a split summed the GEMV rows of this shape apart
     @pytest.mark.parametrize("m,length,c,d", [(768, 60, 5, 128), (24, 60, 5, 128),
-                                              (768, 7, 5, 32), (32, 78, 5, 32)])
+                                              (768, 7, 5, 32), (32, 78, 5, 32),
+                                              (5001, 30, 5, 1)])
     def test_byte_equal_to_dense_product(self, m, length, c, d):
         rng = np.random.default_rng(m + length + d)
         x = rng.uniform(-1, 1, (m, length, c))
@@ -308,6 +310,13 @@ class TestCausalBlocks:
             assert ad.causal_blocks(m, 78, 5, d) == [(0, 78)]  # K = 385
             assert ad.causal_blocks(m, 386, 1, d) == [(0, 386)]
             assert ad.causal_blocks(m, 1440, 1, d) == [(0, 1440)]
+
+    def test_one_block_at_one_output(self):
+        # [M*e, K] @ [K, 1] per block is a GEMV, whose row sums depend on
+        # the row count; at d = 2 the same shape splits
+        assert ad.causal_blocks(5001, 30, 5, 1) == [(0, 30)]
+        assert ad.causal_blocks(4096, 60, 5, 1) == [(0, 60)]
+        assert len(ad.causal_blocks(5001, 30, 5, 2)) == 7
 
     @pytest.mark.parametrize("length", range(24, 80))
     def test_blocks_tile_the_steps(self, length):
@@ -424,6 +433,35 @@ class TestStructuredOps:
         x, w, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3)), rng.standard_normal(2)
         out = ad.linear(ad.constant(x), ad.constant(w), ad.constant(b))
         assert np.allclose(out.data, x @ w.T + b, atol=1e-15)
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_stacked_linear_matches_each_slice(self, lead):
+        # one product over stacked maps, byte for byte the 2-D map of each
+        # slice, for the value and all three gradients
+        rng = np.random.default_rng(len(lead))
+        x = rng.standard_normal((*lead, 40, 6))
+        w, b = rng.standard_normal((*lead, 5, 6)), rng.standard_normal((*lead, 5))
+        g = rng.standard_normal((*lead, 40, 5))
+        graph = ad.Graph()
+        out = ad.linear(graph.leaf(x), graph.leaf(w), graph.leaf(b))
+        grads = graph.nodes[out.node_id].vjp(g)
+        for i in np.ndindex(lead):
+            sub = ad.Graph()
+            one = ad.linear(sub.leaf(x[i]), sub.leaf(w[i]), sub.leaf(b[i]))
+            assert one.data.tobytes() == out.data[i].tobytes()
+            for got, want in zip(grads, sub.nodes[one.node_id].vjp(g[i])):
+                assert got[i].tobytes() == want.tobytes()
+
+    def test_stacked_linear_shapes_checked(self):
+        x = ad.constant(np.zeros((3, 4, 2)))
+        with pytest.raises(DimensionError, match="leading"):
+            ad.linear(x, ad.constant(np.zeros((2, 5, 2))), ad.constant(np.zeros((3, 5))))
+        with pytest.raises(DimensionError, match="leading"):
+            ad.linear(x, ad.constant(np.zeros((5, 2))), ad.constant(np.zeros(5)))
+        with pytest.raises(DimensionError, match="leading"):
+            ad.linear(x, ad.constant(np.zeros((3, 5, 2))), ad.constant(np.zeros(5)))
+        with pytest.raises(DimensionError, match="disagree"):
+            ad.linear(x, ad.constant(np.zeros((3, 5, 3))), ad.constant(np.zeros((3, 5))))
 
     def test_lerp_matches_manual(self):
         rng = np.random.default_rng(4)
@@ -624,7 +662,7 @@ class TestFiniteDiff:
         errors = _op_gradient_suite(seed=0)
         assert len(errors) >= 15
         assert {"matmul.b", "add.b", "sub.a", "mul.b", "concat.b", "linear.w",
-                "linear.b", "lerp.b"} <= set(errors)
+                "linear.b", "linear.stacked", "lerp.b"} <= set(errors)
         worst = max(errors.values())
         assert worst < 1e-5, f"worst op error {worst}: {errors}"
 

@@ -10,10 +10,10 @@ from tpgn import baselines
 from tpgn.data import windows_of
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
-                        TpgnConfig, TpgnParams, _forward_core,
+                        TpgnConfig, TpgnParams, _distinct_summaries, _forward_core,
                         finite_diff_all_params, flop_count, forecast_head,
                         long_branch, param_count, prepare_input, short_branch,
-                        stack_grid, tpgn_forward, tpgn_forward_batch,
+                        stack_grid, stack_targets, tpgn_forward, tpgn_forward_batch,
                         tpgn_graph_depth)
 from tpgn.pgn import pgn_forward_oracle
 
@@ -449,7 +449,8 @@ class TestRepeatedColumns:
 
     @pytest.mark.parametrize("kind", sorted(baselines.CELLS))
     def test_long_branch_matches_shuffled_batch(self, kind):
-        # shuffling breaks the runs of consecutive windows, so nearly every column runs
+        # shuffling breaks the runs of consecutive windows, so nearly every
+        # column runs; long_branch runs every column in one pass
         variant = "full" if kind == "pgn" else kind
         for d, n in self.CASES:
             windows = consecutive_windows(n)
@@ -457,13 +458,20 @@ class TestRepeatedColumns:
             params = TpgnParams.init(48, 16, 8, 4, d, np.random.default_rng(d),
                                      VARIANTS[variant])
             w = params.constants()
+
+            def summaries(grid):
+                out, source = _distinct_summaries(grid, w, kind)
+                return (out if source is None else out[source]).reshape(n, 8, d)
+
             for norm in (0, 1):
                 grid, _ = prepare_input(windows, norm, 8)
                 mixed, _ = prepare_input([windows[i] for i in order], norm, 8)
-                fast = long_branch(ad.constant(grid), w, kind).data.reshape(n, 8, d)
+                fast = summaries(grid)
                 every = np.empty_like(fast)
-                every[order] = long_branch(ad.constant(mixed), w, kind).data.reshape(n, 8, d)
+                every[order] = summaries(mixed)
                 assert np.array_equal(fast, every), (d, n, norm)
+                one_pass = long_branch(ad.constant(grid), w, kind).data
+                assert np.array_equal(fast, one_pass.reshape(n, 8, d)), (d, n, norm)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_forward_matches_one_pass_over_every_column(self, variant):
@@ -542,9 +550,10 @@ def tracked_forward(windows, params, norm):
                          params).data
 
 
-def head_plan(n, period=8, d=32, r_f=2):
-    """The window blocks of the untracked shared head."""
-    return ad.sequence_blocks(n, period * 2 * d * 8, period * r_f, r_f)
+def head_plan(n, period=8, d=32, r_f=2, shared=True):
+    """The window blocks of the untracked head: a shared GEMM has P*R_f
+    outputs per window, each phase's GEMM R_f."""
+    return ad.sequence_blocks(n, period * 2 * d * 8, (period if shared else 1) * r_f, r_f)
 
 
 class TestBlockedSharedHead:
@@ -587,9 +596,54 @@ class TestBlockedSharedHead:
     @pytest.mark.parametrize("variant", ["full", "short"])
     def test_one_output_column_matches_tracked_forward(self, variant):
         windows = consecutive_windows(600, l_f=8)
-        params = TpgnParams.init(48, 8, 8, 4, 32, np.random.default_rng(63),
-                                 VARIANTS[variant])
-        assert params.horizon_rows == 1
+        for shared in (True, False):
+            params = TpgnParams.init(48, 8, 8, 4, 32, np.random.default_rng(63),
+                                     VARIANTS[variant], head_shared=shared)
+            assert params.horizon_rows == 1
+            for norm in (0, 1):
+                assert np.array_equal(untracked_forward(windows, params, norm),
+                                      tracked_forward(windows, params, norm)), (norm, shared)
+
+
+class TestBlockedPerPhaseHead:
+    """The untracked per-phase head maps the same window blocks, each with
+    one stacked GEMM of block rows per phase."""
+
+    def test_plan_counts_one_phase_gemm(self):
+        # at P=24, R_f=7 a per-phase block needs 172 windows (172*7 = 1204
+        # outputs), a shared one 8 (8*24*7 = 1344)
+        per_phase = dict(period=24, r_f=7, shared=False)
+        assert head_plan(343, **per_phase) == [(0, 343)]
+        assert head_plan(344, **per_phase) == [(0, 172), (172, 344)]
+        assert head_plan(600, **per_phase) == [(0, 200), (200, 400), (400, 600)]
+        assert len(head_plan(600, period=24, r_f=7)) == 8
+        assert head_plan(600, r_f=1, shared=False) == [(0, 600)]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_forward_runs_the_plan(self, shared, monkeypatch):
+        want = head_plan(600, r_f=12, shared=shared)
+        assert len(want) == 3
+        plans = []
+
+        def recording(*args):
+            plans.append(sequence_blocks(*args))
+            return plans[-1]
+
+        sequence_blocks = ad.sequence_blocks
+        monkeypatch.setattr(ad, "sequence_blocks", recording)
+        params = TpgnParams.init(48, 96, 8, 4, 32, np.random.default_rng(64),
+                                 VARIANTS["short"], head_shared=shared)
+        untracked_forward(consecutive_windows(600, l_f=96), params, 0)
+        assert plans == [want]
+
+    @pytest.mark.parametrize("variant", ["full", "short", "gru"])
+    @pytest.mark.parametrize("n", [100, 257, 600])
+    def test_matches_tracked_forward(self, variant, n):
+        # at 48->96 (R_f = 12): one block, two of unequal size, and three
+        assert len(head_plan(n, r_f=12, shared=False)) == {100: 1, 257: 2, 600: 3}[n]
+        windows = consecutive_windows(n, l_f=96)
+        params = TpgnParams.init(48, 96, 8, 4, 32, np.random.default_rng(n),
+                                 VARIANTS[variant], head_shared=False)
         for norm in (0, 1):
             assert np.array_equal(untracked_forward(windows, params, norm),
                                   tracked_forward(windows, params, norm)), norm
@@ -771,6 +825,22 @@ class TestPerPhaseHead:
         cfg = TpgnConfig(norm=1, period=4)
         errors = finite_diff_all_params(make_window(8, 8, seed=45), params, cfg)
         assert max(errors.values()) < 1e-5, errors
+
+    def test_tracked_step_one_node_above_shared_head(self):
+        # the stacked product adds only the phase-major regroup to the
+        # shared head's tape: 168->168, P=24, d_m=32, forward and loss
+        windows = [make_window(168, 168, c_time=4, seed=s) for s in (65, 66)]
+        nodes = {}
+        for shared in (True, False):
+            params = TpgnParams.init(168, 168, 24, 4, 32, np.random.default_rng(67),
+                                     head_shared=shared)
+            g = ad.Graph()
+            preds = tpgn_forward_batch(windows, params, TpgnConfig(norm=0, period=24),
+                                       weights=params.leaf_into(g))
+            diff = ad.sub(preds, ad.constant(stack_targets(windows)))
+            ad.reduce_mean(ad.mul(diff, diff))
+            nodes[shared] = len(g)
+        assert nodes == {True: 45, False: 46}
 
     def test_batch_equals_single(self):
         params = TpgnParams.init(8, 8, 4, 1, 3, np.random.default_rng(46),
