@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from tpgn import TpgnParams, VARIANTS
-from tpgn.data import (SplitSpec, aggregate_hourly, load_csv, save_csv,
-                       split_and_window, synthetic_sinusoid)
+from tpgn.data import (SplitSpec, aggregate_hourly, format_stamps, load_csv,
+                       save_csv, split_and_window, synthetic_sinusoid)
 from tpgn.training import TrainConfig, evaluate, fit, write_epoch_log
 
 if len(sys.argv) >= 3:
@@ -35,8 +35,8 @@ else:
 
 print(f"loading {csv_path} (target {target!r})")
 series = aggregate_hourly(load_csv(csv_path, target))
-print(f"hourly series: {len(series)} points, "
-      f"{series.timestamps[0]} .. {series.timestamps[-1]}")
+first, last = format_stamps(series.timestamps[[0, -1]])
+print(f"hourly series: {len(series)} points, {first} .. {last}")
 
 cfg = TrainConfig(l_h=168, l_f=168, period=24, d_m=64, norm=norm,
                   max_epochs=10, patience=5)

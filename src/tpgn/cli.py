@@ -152,11 +152,10 @@ def _write_metrics(out_dir: Path, metrics: dict[str, float]) -> Path:
 
 def _write_predictions(out_dir: Path, stamps, truth, preds) -> Path:
     path = versioned_path(out_dir / "predictions.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,truth,prediction\n")
-        for ts, t, p in zip(stamps, truth, preds):
-            # plain floats: a numpy scalar's repr is np.float64(...) under numpy 2
-            fh.write(f"{ts.strftime('%Y-%m-%d %H:%M:%S')},{float(t)!r},{float(p)!r}\n")
+    # plain floats: a numpy scalar's repr is np.float64(...) under numpy 2
+    rows = [f"{ts},{float(t)!r},{float(p)!r}\n"
+            for ts, t, p in zip(data_mod.format_stamps(stamps), truth, preds)]
+    path.write_text("timestamp,truth,prediction\n" + "".join(rows), encoding="utf-8")
     return path
 
 

@@ -4,7 +4,7 @@ CSV in (one datetime column plus named value columns), hourly-aggregated
 series out, cut 6:2:2 in time order into train/validation/test, then
 swept into stride-1 windows that never cross a split boundary.  Calendar
 features ride along with every window so the model can consume them as
-extra channels.
+extra channels.  Timestamps are one ``datetime64[us]`` array throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "NoiseSpec",
     "load_csv",
     "save_csv",
+    "format_stamps",
     "aggregate_hourly",
     "standardize_series",
     "split_points",
@@ -42,22 +43,28 @@ logger = logging.getLogger(__name__)
 TRAIN_FRACTION = 0.6
 VAL_FRACTION = 0.2
 
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
 
 @dataclass
 class RawSeries:
-    """One value column with its timestamps; NaN marks a missing record."""
+    """One value column with ``datetime64[us]`` timestamps; NaN marks a missing record."""
 
-    timestamps: list[datetime]
+    timestamps: np.ndarray
     values: np.ndarray
     target_name: str
 
     def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[us]")
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.timestamps) != len(self.values):
             raise DataError("timestamps and values differ in length")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if a >= b:
-                raise DataError(f"timestamps not strictly increasing at {b}")
+        bad = np.flatnonzero(self.timestamps[1:] <= self.timestamps[:-1])
+        if bad.size:
+            raise DataError("timestamps not strictly increasing at "
+                            f"{format_stamps(self.timestamps[bad[:1] + 1])[0]}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -87,16 +94,26 @@ class NoiseSpec:
             raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
-    cleaned = text.strip().replace("Z", "+00:00")
+def _parse_timestamp(text: str, row: int) -> int:
+    """Microseconds since 1970 of one stamp; one with an offset is read as UTC."""
     try:
-        ts = datetime.fromisoformat(cleaned)
+        ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     except ValueError:
         raise DataError(f"row {row}: cannot parse timestamp {text!r}") from None
-    if ts.tzinfo is not None:
-        # normalize offset-carrying stamps to naive UTC so ordering is total
-        ts = (ts - ts.utcoffset()).replace(tzinfo=None)
-    return ts
+    return (ts - (_EPOCH if ts.tzinfo is None else _EPOCH_UTC)) // _MICROSECOND
+
+
+def _parse_value(text: str, row: int, column: str) -> float:
+    cell = text.strip()
+    if cell in ("", "NA", "NaN", "nan"):
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {row}: cannot parse {column!r} value {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}: {column!r} value {cell!r} is not finite")
+    return value
 
 
 def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSeries:
@@ -106,7 +123,8 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
     overflowing literal such as ``1e999`` is a DataError naming the row.
 
     Rows are sorted by timestamp; an exact duplicate timestamp is an error
-    since it would make the aggregation ambiguous.
+    since it would make the aggregation ambiguous.  Field counts, stamps and
+    values are checked in that order, each over all rows.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -124,82 +142,65 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
                 raise DataError(f"{path} has no column {col!r} (header: {header})")
         t_idx = header.index(timestamp_column)
         v_idx = header.index(target_column)
-        rows: list[tuple[datetime, float]] = []
-        missing = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(t_idx, v_idx):
-                raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            ts = _parse_timestamp(row[t_idx], row_no)
-            cell = row[v_idx].strip()
-            if cell in ("", "NA", "NaN", "nan"):
-                value = math.nan
-                missing += 1
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"row {row_no}: cannot parse {target_column!r} value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"row {row_no}: {target_column!r} value {cell!r} is not finite")
-            rows.append((ts, value))
-    if not rows:
+        # blank lines (every cell whitespace) are skipped but keep their number
+        numbered = [(row_no, row) for row_no, row in enumerate(reader, start=2)
+                    if "".join(row).strip()]
+    if not numbered:
         raise DataError(f"{path} has no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DataError(f"duplicated timestamp {a}")
-    if missing:
+    width = max(t_idx, v_idx)
+    for row_no, row in numbered:
+        if len(row) <= width:
+            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+    stamps = np.fromiter((_parse_timestamp(row[t_idx], row_no) for row_no, row in numbered),
+                         dtype=np.int64, count=len(numbered))
+    values = np.fromiter((_parse_value(row[v_idx], row_no, target_column)
+                          for row_no, row in numbered), dtype=np.float64, count=len(numbered))
+    order = np.argsort(stamps, kind="stable")
+    stamps, values = stamps[order].view("datetime64[us]"), values[order]
+    dup = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if dup.size:
+        raise DataError(f"duplicated timestamp {format_stamps(stamps[dup[:1]])[0]}")
+    if missing := int(np.isnan(values).sum()):
         logger.info("%s: %d missing %s entries", path, missing, target_column)
-    return RawSeries(timestamps=[r[0] for r in rows],
-                     values=np.array([r[1] for r in rows]),
-                     target_name=target_column)
+    return RawSeries(timestamps=stamps, values=values, target_name=target_column)
+
+
+def format_stamps(stamps) -> list[str]:
+    """Each datetime64 stamp as ``YYYY-MM-DD HH:MM:SS``, seconds floored."""
+    return [s.replace("T", " ") for s in np.datetime_as_string(stamps, unit="s").tolist()]
 
 
 def save_csv(series: RawSeries, path, timestamp_column: str = "date") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([timestamp_column, series.target_name])
-        for ts, v in zip(series.timestamps, series.values):
-            writer.writerow([ts.strftime("%Y-%m-%d %H:%M:%S"), repr(float(v))])
+        writer.writerows(zip(format_stamps(series.timestamps),
+                             map(repr, series.values.tolist())))
 
 
 def aggregate_hourly(series: RawSeries) -> RawSeries:
     """Mean of all records within each clock hour, on a gapless hourly axis.
 
     Hours without a usable record are filled by linear interpolation over
-    time (clamped at the ends); the fill count is logged.
+    time (clamped at the ends); the fill count is logged.  A series without
+    a non-NaN record raises DataError.
     """
-    sums: dict[datetime, float] = {}
-    counts: dict[datetime, int] = {}
-    for ts, value in zip(series.timestamps, series.values):
-        hour = ts.replace(minute=0, second=0, microsecond=0)
-        if not math.isnan(value):
-            sums[hour] = sums.get(hour, 0.0) + value
-            counts[hour] = counts.get(hour, 0) + 1
-        else:
-            sums.setdefault(hour, 0.0)
-            counts.setdefault(hour, 0)
-    first = min(sums)
-    last = max(sums)
-    n = int((last - first) / timedelta(hours=1)) + 1
-    hours = [first + timedelta(hours=i) for i in range(n)]
-    values = np.full(n, np.nan)
-    for i, hour in enumerate(hours):
-        if counts.get(hour, 0):
-            values[i] = sums[hour] / counts[hour]
-    valid = np.flatnonzero(~np.isnan(values))
-    if valid.size == 0:
+    seen = ~np.isnan(series.values)
+    if not seen.any():
         raise DataError("no usable records to aggregate")
-    gaps = n - valid.size
-    if gaps:
+    hours = series.timestamps.astype("datetime64[h]")
+    slot = (hours - hours[0]).astype(np.int64)  # stamps increase: slot[-1] is the last
+    n = int(slot[-1]) + 1
+    # bincount adds each hour's values in record order from 0.0, as a running sum would
+    sums = np.bincount(slot[seen], weights=series.values[seen], minlength=n)
+    counts = np.bincount(slot[seen], minlength=n)
+    values = sums / np.maximum(counts, 1)  # an empty hour reads 0 until interpolated
+    valid = np.flatnonzero(counts)
+    if gaps := n - valid.size:
         values = np.interp(np.arange(n), valid, values[valid])
         logger.info("interpolated %d empty hours (of %d)", gaps, n)
-    return RawSeries(timestamps=hours, values=values, target_name=series.target_name)
+    return RawSeries(timestamps=hours[0] + np.arange(n), values=values,
+                     target_name=series.target_name)
 
 
 def make_time_features(timestamps) -> np.ndarray:
@@ -208,13 +209,13 @@ def make_time_features(timestamps) -> np.ndarray:
     Each feature maps its first calendar value (midnight, Monday, day 1,
     Jan 1) to -0.5 and its last to +0.5.
     """
-    out = np.empty((len(timestamps), 4))
-    for i, ts in enumerate(timestamps):
-        out[i, 0] = ts.hour / 23.0 - 0.5
-        out[i, 1] = ts.weekday() / 6.0 - 0.5
-        out[i, 2] = (ts.day - 1) / 30.0 - 0.5
-        out[i, 3] = (ts.timetuple().tm_yday - 1) / 365.0 - 0.5
-    return out
+    stamps = np.asarray(timestamps, dtype="datetime64[us]")
+    days = stamps.astype("datetime64[D]")
+    hour = (stamps.astype("datetime64[h]") - days).astype(np.int64)
+    weekday = (days.astype(np.int64) + 3) % 7  # day 0, 1970-01-01, was a Thursday
+    day = (days - days.astype("datetime64[M]").astype(days.dtype)).astype(np.int64)
+    yday = (days - days.astype("datetime64[Y]").astype(days.dtype)).astype(np.int64)
+    return np.stack([hour, weekday, day, yday], axis=1) / [23.0, 6.0, 30.0, 365.0] - 0.5
 
 
 def standardize_series(series: RawSeries) -> tuple[RawSeries, float, float]:
@@ -234,7 +235,7 @@ def standardize_series(series: RawSeries) -> tuple[RawSeries, float, float]:
     if std == 0.0:
         raise DataError("training split is constant; cannot standardize")
     scaled = (series.values - mean) / std
-    return RawSeries(timestamps=list(series.timestamps), values=scaled,
+    return RawSeries(timestamps=series.timestamps, values=scaled,
                      target_name=series.target_name), mean, std
 
 
@@ -327,10 +328,9 @@ def synthetic_sinusoid(n_hours: int, period: float = 24.0, amplitude: float = 1.
             f"synthetic series needs n_hours >= 1, period > 0, noise >= 0 and finite "
             f"settings; got n_hours={n_hours}, period={period}, amplitude={amplitude}, "
             f"mean={mean}, phase_drift={phase_drift}, noise={noise}")
-    t0 = datetime.fromisoformat(start)
-    t = np.arange(n_hours, dtype=np.float64)
+    t = np.arange(n_hours)
     values = mean + amplitude * np.sin(2.0 * np.pi * t / period + phase_drift * t)
     if noise > 0.0:
         values = values + noise * np.random.default_rng(seed).standard_normal(n_hours)
-    stamps = [t0 + timedelta(hours=int(i)) for i in range(n_hours)]
+    stamps = np.datetime64(datetime.fromisoformat(start), "us") + t.astype("timedelta64[h]")
     return RawSeries(timestamps=stamps, values=values, target_name="value")

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config resolution, exit codes."""
 
+import hashlib
 from dataclasses import fields
 from datetime import datetime, timedelta
 
@@ -70,6 +71,20 @@ class TestTrain:
         forecast = tpgn_forward(test_w[0], params, cfg.model_config()).data
         assert [float(row[1]) for row in rows] == test_w[0].y_true.tolist()
         assert [float(row[2]) for row in rows] == forecast.tolist()
+
+    def test_golden_bytes(self, tmp_path):
+        """sha256 of the default 900-hour synth CSV and of a FAST run's
+        predictions.csv: they pin the ``YYYY-MM-DD HH:MM:SS`` stamps and the
+        value digits.  The predictions also pin the float arithmetic of the
+        numpy/OpenBLAS build, as the README's bitwise facts do."""
+        data = run_synth(tmp_path)
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+            "eb2573b17e47488b098b4ea4c74164710ea10b1a43aa108b85ddd492f22002a7")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(out), *FAST]) == 0
+        assert hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest() == (
+            "fe1b901bd0becd55dffa12168400b78b6af86f75e6fc15b6f7b85567f196daf0")
 
     def test_manifest_written_before_failure(self, tmp_path):
         out = tmp_path / "run"

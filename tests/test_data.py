@@ -99,7 +99,7 @@ class TestLoadCsv:
         save_csv(s, path)
         s2 = load_csv(path, "value")
         assert np.array_equal(s.values, s2.values)
-        assert s.timestamps == s2.timestamps
+        assert np.array_equal(s.timestamps, s2.timestamps)
 
 
 class TestAggregateHourly:
@@ -115,7 +115,7 @@ class TestAggregateHourly:
         s = RawSeries(hourly(5), [1.0, 2.0, 3.0, 4.0, 5.0], "v")
         out = aggregate_hourly(s)
         assert np.array_equal(out.values, s.values)
-        assert out.timestamps == s.timestamps
+        assert np.array_equal(out.timestamps, s.timestamps)
 
     def test_gap_interpolation(self):
         stamps = [datetime(2021, 1, 1, 0), datetime(2021, 1, 1, 2)]
@@ -128,6 +128,10 @@ class TestAggregateHourly:
         s = RawSeries(hourly(3), [1.0, np.nan, 3.0], "v")
         out = aggregate_hourly(s)
         assert out.values[1] == 2.0
+
+    def test_empty_series_is_a_data_error(self):
+        with pytest.raises(DataError, match="no usable records"):
+            aggregate_hourly(RawSeries([], [], "v"))
 
     def test_minutes_are_floored_to_the_hour(self):
         t0 = datetime(2021, 1, 1, 0, 30)

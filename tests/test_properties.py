@@ -1,11 +1,19 @@
 """Property tests: the causal linear map, the batched gated cell,
-broadcasting vjps and batched input normalization."""
+broadcasting vjps, batched input normalization, and the datetime64
+ingest (hour flooring, calendar features, offset stamps) against the
+per-stamp ``datetime`` formulas."""
+
+import math
+from datetime import datetime, timedelta
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpgn import autodiff as ad
+from tpgn.data import RawSeries, aggregate_hourly, load_csv, make_time_features
+from tpgn.errors import DataError
 from tpgn.model import (SIGMA_FLOOR, SeriesWindow, TpgnParams, forecast_head,
                         prepare_input)
 from tpgn.pgn import PgnParams, pgn_apply, pgn_forward_oracle
@@ -156,3 +164,111 @@ def test_head_denormalization_is_exact(batch, hidden, seed):
     denormed = forecast_head(h_long, h_rep, w, params, stats, b).data
     expected = stats.sigma[:, None] * raw + stats.mu[:, None]
     assert denormed.tobytes() == expected.tobytes()
+
+
+# --- datetime64 ingest against the per-stamp datetime formulas -------------
+
+STAMPS = st.datetimes(min_value=datetime(1900, 1, 1),
+                      max_value=datetime(2100, 12, 31, 23, 59, 59, 999999))
+HOUR_US = 3600 * 10**6
+
+
+def _oracle_features(stamps):
+    """The per-stamp formulas of the calendar features."""
+    out = np.empty((len(stamps), 4))
+    for i, ts in enumerate(stamps):
+        out[i, 0] = ts.hour / 23.0 - 0.5
+        out[i, 1] = ts.weekday() / 6.0 - 0.5
+        out[i, 2] = (ts.day - 1) / 30.0 - 0.5
+        out[i, 3] = (ts.timetuple().tm_yday - 1) / 365.0 - 0.5
+    return out
+
+
+def _oracle_hourly(stamps, values):
+    """Per-record hourly means: a running sum and count per clock hour."""
+    sums, counts = {}, {}
+    for ts, value in zip(stamps, values):
+        hour = ts.replace(minute=0, second=0, microsecond=0)
+        if not math.isnan(value):
+            sums[hour] = sums.get(hour, 0.0) + value
+            counts[hour] = counts.get(hour, 0) + 1
+        else:
+            sums.setdefault(hour, 0.0)
+            counts.setdefault(hour, 0)
+    first = min(sums)
+    n = int((max(sums) - first) / timedelta(hours=1)) + 1
+    hours = [first + timedelta(hours=i) for i in range(n)]
+    means = np.full(n, np.nan)
+    for i, hour in enumerate(hours):
+        if counts.get(hour, 0):
+            means[i] = sums[hour] / counts[hour]
+    valid = np.flatnonzero(~np.isnan(means))
+    return hours, np.interp(np.arange(n), valid, means[valid])
+
+
+@SETTINGS
+@given(stamps=st.lists(STAMPS, min_size=1, max_size=40))
+@example(stamps=[datetime(1969, 12, 31, 23, 59, 59, 500000),  # floor, not truncate
+                 datetime(1900, 1, 1), datetime(1900, 12, 31, 23),
+                 datetime(2000, 2, 29, 12), datetime(2000, 12, 31, 23, 59),
+                 datetime(2096, 2, 29), datetime(2096, 12, 31, 5),
+                 datetime(2100, 12, 31, 23, 59, 59, 999999)])
+def test_time_features_match_per_stamp_formulas(stamps):
+    got = make_time_features(np.array(stamps, dtype="datetime64[us]"))
+    assert got.tobytes() == _oracle_features(stamps).tobytes()
+
+
+@SETTINGS
+@given(base=STAMPS.filter(lambda t: t < datetime(2100, 12, 20)),
+       offsets=st.lists(st.integers(0, 5 * 24 * HOUR_US), min_size=1, max_size=40,
+                        unique=True),
+       data=st.data())
+@example(base=datetime(1969, 12, 31, 22, 59, 59, 999999),
+         offsets=[0, 1, 30 * 60 * 10**6, HOUR_US + 1, 3 * HOUR_US], data=None)
+@example(base=datetime(2000, 2, 28, 23, 30), offsets=[0, HOUR_US, 25 * HOUR_US],
+         data=None)
+def test_hourly_means_match_per_record_sums(base, offsets, data):
+    stamps = [base + timedelta(microseconds=o) for o in sorted(offsets)]
+    if data is None:
+        values = [float(i) * 0.1 for i in range(len(stamps))]
+    else:
+        values = data.draw(st.lists(st.floats(-1e6, 1e6) | st.just(math.nan),
+                                    min_size=len(stamps), max_size=len(stamps)))
+    series = RawSeries(stamps, values, "v")
+    if all(math.isnan(v) for v in values):
+        with pytest.raises(DataError):
+            aggregate_hourly(series)
+        return
+    hours, means = _oracle_hourly(stamps, values)
+    out = aggregate_hourly(series)
+    assert out.timestamps.tolist() == hours
+    assert out.values.tobytes() == means.tobytes()
+
+
+@SETTINGS
+@given(utc=st.lists(STAMPS, min_size=1, max_size=20, unique=True),
+       suffixes=st.lists(st.sampled_from(["", "Z", "+05:30", "-08:00", "+00:00"]),
+                         min_size=20, max_size=20))
+@example(utc=[datetime(1969, 12, 31, 20, 15, 0, 1), datetime(2000, 2, 29, 23, 30)],
+         suffixes=["+05:30", "Z"] + [""] * 18)
+def test_offset_stamps_load_as_naive_utc(tmp_path_factory, utc, suffixes):
+    lines = ["date,v"]
+    for i, (ts, suffix) in enumerate(zip(utc, suffixes)):
+        if suffix in ("", "Z", "+00:00"):
+            local = ts
+        else:
+            sign = 1 if suffix[0] == "+" else -1
+            local = ts + sign * timedelta(hours=int(suffix[1:3]), minutes=int(suffix[4:]))
+        lines.append(f"{local.isoformat()}{suffix},{i}")
+    path = tmp_path_factory.mktemp("stamps") / "stamps.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def oracle(text):
+        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return ts if ts.tzinfo is None else (ts - ts.utcoffset()).replace(tzinfo=None)
+
+    expected = sorted(oracle(line.split(",")[0]) for line in lines[1:])
+    series = load_csv(path, "v")
+    assert series.timestamps.tolist() == expected
+    assert (make_time_features(series.timestamps).tobytes()
+            == _oracle_features(expected).tobytes())
