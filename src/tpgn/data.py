@@ -166,8 +166,12 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
 
 
 def format_stamps(stamps) -> list[str]:
-    """Each datetime64 stamp as ``YYYY-MM-DD HH:MM:SS``, seconds floored."""
-    return [s.replace("T", " ") for s in np.datetime_as_string(stamps, unit="s").tolist()]
+    """Each datetime64 stamp as ``YYYY-MM-DD HH:MM:SS``, with ``.ffffff``
+    added when it has a fraction of a second (``datetime.isoformat``)."""
+    # whole-second stamps, the usual case, format without the longer strings
+    unit = "s" if (stamps == stamps.astype("datetime64[s]")).all() else "us"
+    return [s.replace("T", " ").removesuffix(".000000")
+            for s in np.datetime_as_string(stamps, unit=unit).tolist()]
 
 
 def save_csv(series: RawSeries, path, timestamp_column: str = "date") -> None:

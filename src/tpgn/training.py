@@ -11,7 +11,6 @@ norm=0 and norm=1 runs are directly comparable.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import time
@@ -48,15 +47,6 @@ _EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# A training step frees its tape and gradients, several MB at the protocol
-# shape, and allocates them again in the next step.  By default glibc hands
-# that memory back to the OS (it trims the heap top and unmaps big arrays),
-# so each step faulted its buffers in anew, about 1.8k minor faults per
-# protocol step.  64 MiB of padding above the heap top keeps those pages
-# for the next step.
-_M_TOP_PAD = -2  # glibc's mallopt parameter number
-_HEAP_TOP_PAD = 64 << 20
 
 
 @dataclass
@@ -335,18 +325,6 @@ def _check_windows(windows) -> None:
         stack_targets(windows[lo:lo + _EVAL_CHUNK])
 
 
-def _keep_freed_step_memory() -> None:
-    """Ask glibc to keep freed training-step memory for the next step.
-
-    The setting is process-wide and persists after training.  Other C
-    libraries have no ``mallopt`` and keep their defaults.
-    """
-    try:
-        ctypes.CDLL(None).mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
 def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
         extra_config: dict[str, str] | None = None,
         ) -> tuple[Checkpoint, list[EpochRecord]]:
@@ -373,7 +351,6 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
     _check_windows(train_windows)
     _check_windows(val_windows)
     mcfg = cfg.model_config()
-    _keep_freed_step_memory()
     arrays = params.named_arrays()
     state = AdamState.init(arrays)
     rng = np.random.default_rng(cfg.seed)

@@ -1,6 +1,12 @@
 """Tensor/tape engine: op semantics, gradients, determinism."""
 
 import itertools
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -729,3 +735,44 @@ class TestFiniteOutputs:
         ]
         for out in outs:
             assert np.all(np.isfinite(out.data))
+
+
+# A fresh process that never calls fit: an untracked forward leaves the
+# allocator alone, then tracked steps of a bare cell at the long branch's
+# shape for 1440->720 (B*P = 768 sequences of R = 60 steps, d = 128), whose
+# [768*60, 128] activations (47 MB) lie above glibc's largest dynamic mmap
+# threshold.  Prints the policy's call count and each step's minor faults.
+_CELL_STEPS = """
+import json, resource
+import numpy as np
+from tpgn import autodiff as ad
+from tpgn.pgn import PgnParams, pgn_apply
+
+params = PgnParams.init(60, 1, 128, np.random.default_rng(0))
+x = ad.constant(np.random.default_rng(1).standard_normal((768, 60, 1)))
+pgn_apply(x, params.constants())
+untracked_calls = ad._keep_step_memory.cache_info().misses
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = pgn_apply(x, params.leaf_into(ad.Graph())).output
+    ad.backward(ad.reduce_sum(ad.mul(out, out)))
+    del out
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps([untracked_calls, faults]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is a glibc setting")
+def test_tape_steps_reuse_freed_memory_without_fit():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _CELL_STEPS], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    untracked_calls, faults = json.loads(result.stdout)
+    assert untracked_calls == 0
+    # about 12k faults per step under glibc's defaults
+    assert max(faults[2:]) < 200, faults

@@ -1,7 +1,7 @@
 """Property tests: the causal linear map, the batched gated cell,
 broadcasting vjps, batched input normalization, and the datetime64
-ingest (hour flooring, calendar features, offset stamps) against the
-per-stamp ``datetime`` formulas."""
+ingest (hour flooring, calendar features, offset stamps, the CSV round
+trip) against the per-stamp ``datetime`` formulas."""
 
 import math
 from datetime import datetime, timedelta
@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpgn import autodiff as ad
-from tpgn.data import RawSeries, aggregate_hourly, load_csv, make_time_features
+from tpgn.data import (RawSeries, aggregate_hourly, load_csv, make_time_features,
+                       save_csv)
 from tpgn.errors import DataError
 from tpgn.model import (SIGMA_FLOOR, SeriesWindow, TpgnParams, forecast_head,
                         prepare_input)
@@ -272,3 +273,24 @@ def test_offset_stamps_load_as_naive_utc(tmp_path_factory, utc, suffixes):
     assert series.timestamps.tolist() == expected
     assert (make_time_features(series.timestamps).tobytes()
             == _oracle_features(expected).tobytes())
+
+
+@SETTINGS
+@given(stamps=st.lists(STAMPS, min_size=1, max_size=20, unique=True),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=20, max_size=20))
+@example(stamps=[datetime(2021, 1, 1, 0, 0, 0, 250000),  # two records in one second
+                 datetime(2021, 1, 1, 0, 0, 0, 750000)], values=[0.5] * 20)
+@example(stamps=[datetime(1969, 12, 31, 23, 59, 59, 500000), datetime(1970, 1, 1),
+                 datetime(2100, 12, 31, 23, 59, 59, 999999)], values=[-0.0] * 20)
+def test_csv_round_trip_keeps_every_stamp(tmp_path_factory, stamps, values):
+    stamps = sorted(stamps)
+    series = RawSeries(stamps, values[:len(stamps)], "v")
+    path = tmp_path_factory.mktemp("roundtrip") / "series.csv"
+    save_csv(series, path)
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    # whole seconds keep the plain form, a fraction adds its six digits
+    assert [r.split(",")[0] for r in rows] == [ts.isoformat(sep=" ") for ts in stamps]
+    back = load_csv(path, "v")
+    assert back.timestamps.tolist() == stamps
+    assert back.values.tobytes() == series.values.tobytes()

@@ -214,10 +214,11 @@ class TestFit:
         assert len(log) == 1
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="the heap padding is a glibc setting")
+                        reason="the allocator policy is a glibc setting")
     def test_steps_after_fit_reuse_freed_memory(self):
-        # a protocol-shape step frees and reallocates several MB; after fit
-        # has set the heap padding, a repeated step faults almost nothing in
+        # a protocol-shape step frees and reallocates several MB; under the
+        # allocator policy every tape sets (autodiff._keep_step_memory), a
+        # repeated step after fit faults almost nothing in
         import resource
 
         cfg = tiny_config(l_h=168, l_f=168, period=24, d_m=32, max_epochs=1,
