@@ -167,12 +167,6 @@ class Graph:
         self._seen_arrays: dict[int, Callable[[], object]] = {}
         self.peak_bytes: int = 0
 
-    def reset(self) -> None:
-        """Drop every recorded node and the byte counter."""
-        self.nodes.clear()
-        self._seen_arrays.clear()
-        self.peak_bytes = 0
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -236,10 +230,6 @@ class GradientMap:
             raise ContractError("gradient requested for an untracked tensor")
         return self._grads[nid]
 
-    def __contains__(self, key: "Tensor | int") -> bool:
-        nid = key.node_id if isinstance(key, Tensor) else key
-        return nid in self._grads
-
     def items(self):
         return self._grads.items()
 
@@ -253,13 +243,10 @@ def _to_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(_to_array(x))
-
-
 def constant(x) -> Tensor:
-    """An untracked tensor; operations on constants stay off the tape."""
-    return _as_tensor(x)
+    """An untracked tensor; operations on constants stay off the tape.
+    A Tensor is returned as it is, so every op takes arrays or tensors."""
+    return x if isinstance(x, Tensor) else Tensor(_to_array(x))
 
 
 def _graph_of(*operands: Tensor) -> Graph | None:
@@ -306,7 +293,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def matmul(a, b) -> Tensor:
     """Matrix product of a [m, k] and b [k, n]."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = constant(a), constant(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -322,7 +309,7 @@ def matmul(a, b) -> Tensor:
 
 
 def _elementwise(op: str, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = constant(a), constant(b)
     _check_broadcast(a, b, op)
     ad, bd = a.data, b.data
     ashape, bshape = a.shape, b.shape
@@ -364,7 +351,7 @@ def mul(a, b) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     """Logistic function, overflow-safe for any finite input."""
-    a = _as_tensor(a)
+    a = constant(a)
     x = a.data
     # two scratch buffers, written in place: this runs on the model's
     # largest activations, where every fresh buffer is pages to fault in
@@ -387,7 +374,7 @@ def sigmoid(a) -> Tensor:
 
 
 def tanh(a) -> Tensor:
-    a = _as_tensor(a)
+    a = constant(a)
     value = np.tanh(a.data)
 
     def vjp(g):
@@ -401,7 +388,7 @@ def tanh(a) -> Tensor:
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; every other dimension must agree."""
-    ts = [_as_tensor(p) for p in parts]
+    ts = [constant(p) for p in parts]
     if not ts:
         raise ContractError("concat needs at least one part")
     rank = ts[0].data.ndim
@@ -429,7 +416,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
 
 
 def _reduce(op: str, a, axis: int | None) -> Tensor:
-    a = _as_tensor(a)
+    a = constant(a)
     if axis is not None and not -a.data.ndim <= axis < a.data.ndim:
         raise DimensionError(f"reduce axis {axis} out of range for shape {a.shape}")
     if op == "sum":
@@ -460,7 +447,7 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
+    a = constant(a)
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise DimensionError(f"reshape {a.shape} -> {shape}: element counts differ")
@@ -475,7 +462,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 def permute(a, order: Sequence[int]) -> Tensor:
     """Reorder axes; ``order`` must be a permutation of range(rank)."""
-    a = _as_tensor(a)
+    a = constant(a)
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(a.data.ndim)):
         raise DimensionError(f"permute order {order} is not a permutation for shape {a.shape}")
@@ -490,7 +477,7 @@ def permute(a, order: Sequence[int]) -> Tensor:
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
     """Rows [start, stop) along the first axis."""
-    a = _as_tensor(a)
+    a = constant(a)
     if a.data.ndim < 1:
         raise DimensionError("slice_rows needs rank >= 1")
     n = a.shape[0]
@@ -607,7 +594,7 @@ def causal_linear(x, w, b) -> Tensor:
     vjp rebuilds it for ``w``'s gradient, which stays one GEMM over all
     rows in order.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w, b = constant(x), constant(w), constant(b)
     if x.data.ndim != 3 or x.shape[1] < 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError(
             "causal_linear expects x[M, L >= 2, c], w[d, (L-1)*c], b[d]; "
@@ -647,7 +634,7 @@ def linear(x, w, b) -> Tensor:
     Leading axes stack independent maps: slice i of x goes through slice i
     of w and b, each as the 2-D product it would be on its own.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w, b = constant(x), constant(w), constant(b)
     lead = x.shape[:-2]
     if (x.data.ndim < 2 or w.data.ndim != x.data.ndim or b.data.ndim != x.data.ndim - 1
             or w.shape[:-2] != lead or b.shape[:-1] != lead):
@@ -672,7 +659,7 @@ def linear(x, w, b) -> Tensor:
 
 def lerp(gate, a, b) -> Tensor:
     """Gated fusion gate*a + (1-gate)*b, all three the same shape."""
-    gate, a, b = _as_tensor(gate), _as_tensor(a), _as_tensor(b)
+    gate, a, b = constant(gate), constant(a), constant(b)
     if not gate.shape == a.shape == b.shape:
         raise DimensionError(
             f"lerp needs equal shapes, got {gate.shape}, {a.shape}, {b.shape}")
@@ -698,7 +685,7 @@ def lerp(gate, a, b) -> Tensor:
 
 def repeat_rows(a, times: int) -> Tensor:
     """Repeat each row of a [n, d] tensor ``times`` consecutive times."""
-    a = _as_tensor(a)
+    a = constant(a)
     if a.data.ndim != 2:
         raise DimensionError(f"repeat_rows expects rank 2, got {a.shape}")
     if times < 1:

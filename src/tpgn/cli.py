@@ -3,12 +3,13 @@
 ``tpgn train`` settings come from one table: the fields of
 :class:`training.TrainConfig` (``l_h``, ``l_f`` and ``d_m`` spelled ``lh``,
 ``lf`` and ``dm``) plus the run-only settings; a setting parses as the
-type of its default.  They resolve in precedence order: those defaults,
-then the --config file (flat ``key=value`` lines; ``#`` at the start of a
-line or after whitespace starts a comment), then explicit command-line
-flags.  The calendar-channel count is read off the data, and ``tpgn eval``
-takes the target, scaling and timestamp column from the checkpoint echo
-unless a flag overrides them.  ``tpgn bench`` defaults are
+type of its default (:func:`training.parse_setting`).  They resolve in
+precedence order: those defaults, then the --config file (flat
+``key=value`` lines; ``#`` at the start of a line or after whitespace
+starts a comment), then explicit command-line flags.  The
+calendar-channel count is read off the data, and ``tpgn eval`` takes the
+target, scaling and timestamp column from the checkpoint echo unless a
+flag overrides them.  ``tpgn bench`` defaults are
 :class:`bench.BenchScenario`'s.
 Every run writes its resolved manifest before any computation, and output
 files are versioned (name.1.csv, name.2.csv, ...) rather than overwritten.
@@ -22,7 +23,7 @@ import hashlib
 import logging
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,8 @@ _TRAIN_DEFAULTS = {
     "data": None, "target": None, "timestamp_column": "date", "out": "tpgn-out",
     "noise_eps": 0.0, "scale": 1, "head_shared": 1,
 }
+# the type each setting parses as: its default's, str when that is None
+_TRAIN_KINDS = {key: str if d is None else type(d) for key, d in _TRAIN_DEFAULTS.items()}
 
 
 # a comment starts at "#" only at the start of a line or after whitespace,
@@ -74,25 +77,16 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _typed(key: str, value: str, source: str):
-    """Parse one setting as the type of its default (``str`` when that is None)."""
-    default = _TRAIN_DEFAULTS[key]
-    kind = str if default is None else type(default)
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{source} key {key!r}: cannot parse {value!r} "
-                          f"as {kind.__name__}") from None
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < command-line flags, with typed validation."""
     resolved = dict(_TRAIN_DEFAULTS)
     if args.config:
-        for key, value in _read_config_file(args.config).items():
+        settings = _read_config_file(args.config)
+        for key in settings:
             if key not in resolved:
                 raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = _typed(key, value, "config")
+            resolved[key] = training.parse_setting(settings, key, _TRAIN_KINDS[key],
+                                                   f"config file {args.config}")
     for key in resolved:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -106,25 +100,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-@dataclass
-class RunManifest:
-    """Resolved settings plus a content hash; written before any work."""
-
-    settings: dict
-    config_hash: str
-
-    @classmethod
-    def from_settings(cls, settings: dict) -> "RunManifest":
-        lines = "\n".join(f"{k}={settings[k]}" for k in sorted(settings))
-        digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
-        return cls(settings=settings, config_hash=digest)
-
-    def write(self, out_dir: Path) -> Path:
-        path = versioned_path(out_dir / "manifest.txt")
-        lines = [f"{k}={self.settings[k]}" for k in sorted(self.settings)]
-        lines.append(f"config_hash={self.config_hash}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
+def _write_manifest(out_dir: Path, settings: dict) -> tuple[Path, str]:
+    """Write the resolved settings and their sha256 to a versioned
+    ``manifest.txt``; returns its path and the hash."""
+    lines = [f"{k}={settings[k]}" for k in sorted(settings)]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    path = versioned_path(out_dir / "manifest.txt")
+    path.write_text("\n".join([*lines, f"config_hash={digest}"]) + "\n", encoding="utf-8")
+    return path, digest
 
 
 def _load_windows(res: dict):
@@ -165,20 +148,17 @@ def cmd_train(args) -> int:
     cfg = training.TrainConfig(**{f.name: res[key] for key, f in _CONFIG_FIELDS.items()})
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.from_settings(res)
-    manifest_path = manifest.write(out_dir)
-    print(f"manifest: {manifest_path} (hash {manifest.config_hash[:12]})")
+    manifest_path, config_hash = _write_manifest(out_dir, res)
+    print(f"manifest: {manifest_path} (hash {config_hash[:12]})")
 
     series, (train_w, val_w, test_w) = _load_windows(res)
-    if res["noise_eps"] > 0.0:
-        spec = data_mod.NoiseSpec(epsilon=res["noise_eps"], rng_seed=res["seed"])
-        train_w = data_mod.apply_noise(train_w, spec)
+    train_w = data_mod.apply_noise(train_w, res["noise_eps"], res["seed"])
     params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, train_w[0].c_time, cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
                              head_shared=bool(res["head_shared"]))
     extra = {"noise_eps": str(res["noise_eps"]), "target": str(res["target"]),
              "scale": str(res["scale"]), "timestamp_column": res["timestamp_column"],
-             "config_hash": manifest.config_hash}
+             "config_hash": config_hash}
     try:
         ckpt, log = training.fit(params, train_w, val_w, cfg, extra_config=extra)
     except DivergenceError as exc:
@@ -220,7 +200,8 @@ def cmd_eval(args) -> int:
     res = dict(_TRAIN_DEFAULTS)
     # the run-only settings that locate the data; echoes that predate
     # timestamp_column fall back to its default
-    res.update({k: _typed(k, ckpt.config[k], "checkpoint config")
+    res.update({k: training.parse_setting(ckpt.config, k, _TRAIN_KINDS[k],
+                                          "checkpoint config")
                 for k in ("target", "scale", "timestamp_column") if k in ckpt.config})
     for key in ("data", "target", "timestamp_column", "out"):
         flag = getattr(args, key, None)

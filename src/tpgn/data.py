@@ -4,7 +4,8 @@ CSV in (one datetime column plus named value columns), hourly-aggregated
 series out, cut 6:2:2 in time order into train/validation/test, then
 swept into stride-1 windows that never cross a split boundary.  Calendar
 features ride along with every window so the model can consume them as
-extra channels.  Timestamps are one ``datetime64[us]`` array throughout.
+extra channels, and :func:`apply_noise` perturbs training histories.
+Timestamps are one ``datetime64[us]`` array throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import SeriesWindow
 __all__ = [
     "RawSeries",
     "SplitSpec",
-    "NoiseSpec",
     "load_csv",
     "save_csv",
     "format_stamps",
@@ -33,7 +33,6 @@ __all__ = [
     "windows_of",
     "split_and_window",
     "make_time_features",
-    "inject_noise",
     "apply_noise",
     "synthetic_sinusoid",
 ]
@@ -80,18 +79,6 @@ class SplitSpec:
     def __post_init__(self):
         if self.l_h < 1 or self.l_f < 1:
             raise ConfigError("window lengths must be positive")
-
-
-@dataclass
-class NoiseSpec:
-    """Fraction of history points to perturb and the RNG seed to do it with."""
-
-    epsilon: float
-    rng_seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
 def _parse_timestamp(text: str, row: int) -> int:
@@ -287,31 +274,30 @@ def split_and_window(series: RawSeries, spec: SplitSpec,
     return splits[0], splits[1], splits[2]
 
 
-def inject_noise(window: SeriesWindow, spec: NoiseSpec) -> SeriesWindow:
-    """Perturb floor(epsilon * L_h) distinct history points.
+def apply_noise(windows, epsilon: float, seed: int) -> list[SeriesWindow]:
+    """Perturb floor(epsilon * L_h) distinct history points of every window.
 
-    Each chosen point x gets an additive draw from Uniform(-2|x|, +2|x|),
-    so a zero stays a zero and a positive value lands in [-x, 3x].  The
-    targets and features are untouched.
+    Window i draws from ``default_rng(seed + i)``: first the points, then
+    for each chosen point x an additive Uniform(-2|x|, +2|x|), so a zero
+    stays a zero and a positive value lands in [-x, 3x].  The targets and
+    features are untouched, and a window with no point drawn is returned
+    itself.  An epsilon outside [0, 1] raises ConfigError.
     """
-    l_h = window.l_h
-    k = int(spec.epsilon * l_h)
-    if k == 0:
-        return window
-    rng = np.random.default_rng(spec.rng_seed)
-    idx = rng.choice(l_h, size=k, replace=False)
-    x = window.x_1d.copy()
-    span = 2.0 * np.abs(x[idx])
-    x[idx] += rng.uniform(-span, span)
-    return SeriesWindow(x_1d=x, tf_enc=window.tf_enc, y_true=window.y_true)
-
-
-def apply_noise(windows, spec: NoiseSpec) -> list[SeriesWindow]:
-    """Noise every window with a per-window stream seeded seed + index."""
-    if spec.epsilon == 0.0:
-        return list(windows)
-    return [inject_noise(w, NoiseSpec(spec.epsilon, spec.rng_seed + i))
-            for i, w in enumerate(windows)]
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
+    noisy = []
+    for i, window in enumerate(windows):
+        k = int(epsilon * window.l_h)
+        if k == 0:
+            noisy.append(window)
+            continue
+        rng = np.random.default_rng(seed + i)
+        idx = rng.choice(window.l_h, size=k, replace=False)
+        x = window.x_1d.copy()
+        span = 2.0 * np.abs(x[idx])
+        x[idx] += rng.uniform(-span, span)
+        noisy.append(SeriesWindow(x_1d=x, tf_enc=window.tf_enc, y_true=window.y_true))
+    return noisy
 
 
 def synthetic_sinusoid(n_hours: int, period: float = 24.0, amplitude: float = 1.0,

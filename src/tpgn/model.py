@@ -336,8 +336,14 @@ def stack_grid(windows) -> np.ndarray:
 
 
 def stack_targets(windows) -> np.ndarray:
-    """The batch's targets [B, L_f]; a NaN or Inf raises ContractError."""
-    y = np.stack([w.y_true for w in windows])
+    """The batch's targets [B, L_f].  An empty batch or a NaN or Inf raises
+    ContractError, windows of unequal horizons raise ConfigError."""
+    if not windows:
+        raise ContractError("empty window batch")
+    try:
+        y = np.stack([w.y_true for w in windows])
+    except ValueError:
+        raise ConfigError("windows of one batch differ in horizon length") from None
     if not np.isfinite(y).all():
         raise ContractError("targets contain NaN or Inf")
     return y

@@ -15,9 +15,9 @@ other step's result: the whole sequence is one causal linear map
 zeros), two affine maps and a gate, and the computation-graph depth from
 input to output does not grow with L.  :func:`pgn_apply` is the one
 implementation: it runs M independent sequences [M, L, c] through the same
-weights at once.  :func:`pgn_forward` calls it for one sequence, and the
-model's long branch, the benchmark and the depth probe reach it through
-the cell table in :mod:`tpgn.baselines`.
+weights at once.  :func:`pgn_forward` calls it untracked for one
+sequence, and the model's long branch, the benchmark and the depth probe
+reach it through the cell table in :mod:`tpgn.baselines`.
 
 Window flattening is time-major with channels contiguous per step, and
 the gate concatenation puts the c input channels before the hidden state,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, ParamSet, Tensor
+from .autodiff import ParamSet, Tensor
 from .errors import ContractError, DimensionError
 
 __all__ = [
@@ -104,18 +104,11 @@ def pgn_apply(x: Tensor, w: dict[str, Tensor]) -> PgnOutput:
     return PgnOutput(history=history, gate=gate, candidate=candidate, output=output)
 
 
-def pgn_forward(x, params: PgnParams, graph: Graph | None = None) -> PgnOutput:
-    """Full cell forward of one sequence [L, c]; every field is [L, hidden].
-
-    With ``graph`` given, the input and every weight become tracked leaves
-    so gradients and path lengths can be read off afterwards; without it
-    the computation stays plain numpy.
-    """
+def pgn_forward(x, params: PgnParams) -> PgnOutput:
+    """Untracked cell forward of one sequence [L, c]; every field is [L, hidden]."""
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
-    if graph is None:
-        return pgn_apply(ad.constant(x[None]), params.constants())
-    return pgn_apply(graph.leaf(x[None], op="input"), params.leaf_into(graph))
+    return pgn_apply(ad.constant(x[None]), params.constants())
 
 
 def pgn_forward_oracle(x, params: PgnParams) -> PgnOutput:

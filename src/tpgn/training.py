@@ -6,7 +6,9 @@ summed in fixed order on the tape, and the optimizer walks parameters in
 a fixed order - two identical runs produce bitwise-identical logs.
 
 Loss and metrics are always computed on de-normalized predictions, so
-norm=0 and norm=1 runs are directly comparable.
+norm=0 and norm=1 runs are directly comparable.  :func:`parse_setting`
+reads one setting string, from a checkpoint's config echo or a run's
+settings file, as a typed value.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "fit",
     "evaluate",
     "predict_windows",
+    "parse_setting",
     "params_from_checkpoint",
     "write_epoch_log",
 ]
@@ -243,14 +246,15 @@ class Checkpoint:
         return cls(tensors=tensors, config=config, best_val_loss=best, epoch=epoch)
 
 
-def _echo_value(echo: dict[str, str], key: str, kind: type):
-    """One typed entry of a checkpoint's config echo."""
-    if key not in echo:
-        raise ConfigError(f"checkpoint config lacks {key!r}")
+def parse_setting(settings: dict[str, str], key: str, kind: type, source: str):
+    """``settings[key]`` read as ``kind``; a missing key or a string that
+    does not parse raises ConfigError naming ``source`` and the key."""
+    if key not in settings:
+        raise ConfigError(f"{source} lacks {key!r}")
     try:
-        return kind(echo[key])
+        return kind(settings[key])
     except ValueError:
-        raise ConfigError(f"checkpoint config {key}={echo[key]!r} is not a valid "
+        raise ConfigError(f"{source} {key}={settings[key]!r} is not a valid "
                           f"{kind.__name__}") from None
 
 
@@ -260,13 +264,14 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[TpgnParams, TrainConfig]:
     A missing or garbled echo entry, or tensors that do not fit the echoed
     structure, raise ConfigError naming the culprit.
     """
-    cfg = TrainConfig(**{f.name: _echo_value(ckpt.config, f.name, type(f.default))
+    echo, source = ckpt.config, "checkpoint config"
+    cfg = TrainConfig(**{f.name: parse_setting(echo, f.name, type(f.default), source)
                          for f in fields(TrainConfig)})
-    head_shared = _echo_value(ckpt.config, "head_shared", int)
+    head_shared = parse_setting(echo, "head_shared", int, source)
     if head_shared not in (0, 1):
         raise ConfigError(f"checkpoint config head_shared must be 0 or 1, got {head_shared}")
     params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period,
-                             _echo_value(ckpt.config, "c_time", int), cfg.d_m,
+                             parse_setting(echo, "c_time", int, source), cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
                              head_shared=bool(head_shared))
     arrays = params.named_arrays()

@@ -110,6 +110,16 @@ class TestTrain:
                      "--target", "v", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_unparsable_config_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dm=4.5\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--data", "x.csv",
+                     "--target", "v", "--out", str(out)])
+        assert code == 2
+        assert "dm='4.5' is not a valid int" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("learning_rate_schedule=cosine\n")
@@ -175,6 +185,14 @@ class TestTrain:
         assert code == 2
         assert "lr must be finite" in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory is made
+
+    def test_noise_eps_out_of_range_exits_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--data", "x.csv", "--target", "v", "--out", str(out),
+                     "--noise-eps", "1.5"])
+        assert code == 2
+        assert "noise_eps must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_csv_value_exits_3(self, tmp_path, capsys):
         data = run_synth(tmp_path)

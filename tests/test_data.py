@@ -5,8 +5,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from tpgn.data import (NoiseSpec, RawSeries, SplitSpec, aggregate_hourly,
-                       apply_noise, inject_noise, load_csv, make_time_features,
+from tpgn.data import (RawSeries, SplitSpec, aggregate_hourly,
+                       apply_noise, load_csv, make_time_features,
                        save_csv, split_and_window, synthetic_sinusoid)
 from tpgn.errors import ConfigError, DataError
 from tpgn.model import SeriesWindow
@@ -240,28 +240,33 @@ class TestNoise:
         return SeriesWindow(x_1d=values, tf_enc=np.zeros((len(values), 0)),
                             y_true=np.zeros(2))
 
+    def noisy(self, window, epsilon, seed):
+        """``window`` through ``apply_noise`` as window 0 of its set."""
+        return apply_noise([window], epsilon, seed)[0]
+
     def test_zero_epsilon_identity(self):
+        # floor(epsilon * 8) = 0 points drawn: the window itself comes back
         w = self.window(np.arange(8.0))
-        out = inject_noise(w, NoiseSpec(0.0, 1))
-        assert out is w
+        for epsilon in (0.0, 0.1):
+            assert self.noisy(w, epsilon, 1) is w
 
     def test_zero_value_unchanged(self):
         w = self.window(np.zeros(8))
-        out = inject_noise(w, NoiseSpec(1.0, 2))
+        out = self.noisy(w, 1.0, 2)
         assert np.array_equal(out.x_1d, np.zeros(8))
 
     def test_full_epsilon_interval(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0.5, 2.0, 64)
         w = self.window(values)
-        out = inject_noise(w, NoiseSpec(1.0, 4))
+        out = self.noisy(w, 1.0, 4)
         assert np.all(out.x_1d >= -values - 1e-12)
         assert np.all(out.x_1d <= 3.0 * values + 1e-12)
         assert not np.array_equal(out.x_1d, values)
 
     def test_fraction_of_points_touched(self):
         values = np.ones(100)
-        out = inject_noise(self.window(values), NoiseSpec(0.25, 5))
+        out = self.noisy(self.window(values), 0.25, 5)
         changed = np.sum(out.x_1d != values)
         assert changed <= 25  # floor(eps * L) distinct indices, some draws may be ~0
         assert changed >= 20
@@ -269,27 +274,31 @@ class TestNoise:
     def test_targets_and_features_untouched(self):
         w = SeriesWindow(x_1d=np.ones(8), tf_enc=np.full((8, 2), 0.25),
                          y_true=np.arange(2.0))
-        out = inject_noise(w, NoiseSpec(0.5, 6))
+        out = self.noisy(w, 0.5, 6)
         assert np.array_equal(out.y_true, w.y_true)
         assert np.array_equal(out.tf_enc, w.tf_enc)
 
     def test_bitwise_reproducible(self):
         w = self.window(np.random.default_rng(7).uniform(-2, 2, 32))
-        a = inject_noise(w, NoiseSpec(0.5, 123)).x_1d
-        b = inject_noise(w, NoiseSpec(0.5, 123)).x_1d
+        a = self.noisy(w, 0.5, 123).x_1d
+        b = self.noisy(w, 0.5, 123).x_1d
         assert np.array_equal(a, b)
 
     def test_apply_noise_derives_per_window_seeds(self):
         ws = [self.window(np.ones(8)) for _ in range(3)]
-        out = apply_noise(ws, NoiseSpec(0.5, 50))
+        out = apply_noise(ws, 0.5, 50)
         assert not np.array_equal(out[0].x_1d, out[1].x_1d)
-        again = apply_noise(ws, NoiseSpec(0.5, 50))
+        again = apply_noise(ws, 0.5, 50)
         for a, b in zip(out, again):
             assert np.array_equal(a.x_1d, b.x_1d)
+        # window i draws with seed + i, as window 0 of its own set
+        assert np.array_equal(out[2].x_1d, self.noisy(ws[2], 0.5, 52).x_1d)
 
     def test_epsilon_out_of_range(self):
-        with pytest.raises(ConfigError):
-            NoiseSpec(1.5, 0)
+        # checked before any window is looked at, even with no windows
+        for epsilon in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="epsilon"):
+                apply_noise([], epsilon, 0)
 
 
 class TestSynthetic:

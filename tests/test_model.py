@@ -374,6 +374,14 @@ class TestTpgnForward:
             with pytest.raises(ContractError, match="NaN or Inf"):
                 stack_grid(batch)
 
+    @pytest.mark.parametrize("windows,error", [
+        ([], ContractError),
+        ([make_window(8, 8), make_window(8, 4)], ConfigError),
+    ], ids=["empty", "two horizons"])
+    def test_stack_targets_rejects_bad_batch(self, windows, error):
+        with pytest.raises(error):
+            stack_targets(windows)
+
     def test_variant_cell_mismatch_rejected(self):
         params, _ = make_model()  # no cell attached
         cfg = TpgnConfig(norm=0, period=4, variant=VARIANTS["gru"])

@@ -206,6 +206,13 @@ class TestFit:
         assert len(after) == 14
         assert all(np.array_equal(after[k], before[k]) for k in before)
 
+    def test_unequal_horizons_rejected(self):
+        # the histories agree, so only the stacked targets can tell
+        cfg = tiny_config()
+        train = make_windows(6, seed=3) + make_windows(2, l_f=4, seed=5)
+        with pytest.raises(ConfigError, match="horizon"):
+            fit(tiny_params(cfg), train, make_windows(2, seed=4), cfg)
+
     def test_partial_final_batch_kept(self):
         cfg = tiny_config(batch_size=4, max_epochs=1, patience=1)
         params = tiny_params(cfg)
