@@ -21,7 +21,8 @@ print("forward value:", y.item())
 grads = backward(y)
 print("d y / d x =", grads[x])
 print("d y / d w =", grads[w])
-print("tape length:", len(g), "nodes; bytes seen by the tape:", g.peak_bytes)
+print("tape length:", len(g), "nodes; peak live bytes of its arrays and gradients:",
+      g.peak_bytes)
 
 # --- gradients checked against central differences -------------------------
 def f(t):

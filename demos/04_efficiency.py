@@ -6,8 +6,8 @@
 2. Cost scaling: on a near-square periods-by-phase grid both branch
    widths grow like sqrt(L), and a log-log fit of per-layer work confirms
    the exponent.
-3. Memory: the tape's own byte counter, the cumulative bytes of the
-   arrays it has seen (repeatable, but not a true peak).
+3. Memory: the tape's own count, the highest live total of the arrays
+   a training step holds or hands out (repeatable, and not process RSS).
 
 Shapes here are trimmed so the script finishes in about a minute; pass
 --full for the benchmark-protocol sizes (d_m=128, batch=32, L up to 1440).

@@ -12,16 +12,19 @@ pair; operations record a tape node whenever at least one operand is
 tracked, and stay plain numpy otherwise.  That split keeps data
 preparation off the tape for free.
 
-The tape also keeps a byte counter, which the benchmark harness reports
-as ``peak_bytes``.  It is not a peak: it sums the bytes of every array
-the tape has seen plus the leaf gradients ``backward`` returns (not the
-intermediate gradients), never decreases, and counts a reshape view again
-on top of its base.  Only operands and results are counted, not scratch
-arrays inside a primitive or its vjp: ``causal_linear`` counts its input
-[M, L, c], not the [M*L, (L-1)*c] windows it builds block by block and
-rebuilds in its vjp.  Arrays are told apart by ``id()`` plus a weak
-reference, so an id that CPython reuses after garbage collection cannot
-hide a new array, and identical steps report identical totals.
+The tape also keeps byte totals, which the benchmark harness reports as
+``peak_bytes``: the highest live total of the memory owners the tape has
+held or handed out, which are forward values, operands and every gradient
+``backward`` creates, intermediate ones included.  A view counts as its
+base, once.  An owner's bytes are added when the tape first sees it and
+taken off by a weak-reference callback when it dies, so ``live_bytes`` is
+what is alive now.  Scratch arrays inside a primitive or its vjp are not
+counted: ``causal_linear`` counts its input [M, L, c], not the
+[M*L, (L-1)*c] windows it builds block by block and rebuilds in its vjp.
+Owners are told apart by ``id()`` plus a weak reference, so an id that
+CPython reuses after an array died counts the new array, and identical
+steps report identical peaks.  The callbacks hold the totals, never the
+tape, so a dropped tape is freed at once, without the cyclic collector.
 
 Building the first ``Graph`` sets one process-wide glibc allocator policy
 (:func:`_keep_step_memory`), so every tape's freed memory serves the next
@@ -117,13 +120,34 @@ class _Node:
         self.shape = shape
 
 
-def _identity_ref(obj) -> Callable[[], object]:
-    """A weak reference to ``obj``; numpy scalars take none, so their few
-    bytes are held instead."""
+class _ByteTotals:
+    """Live and peak bytes of a tape's memory owners.
+
+    The tape and the weak-reference callbacks hold this; it holds neither,
+    so the callbacks keep no tape alive.
+    """
+
+    __slots__ = ("live", "peak")
+
+    def __init__(self):
+        self.live = self.peak = 0
+
+    def add(self, nbytes: int) -> None:
+        self.live += nbytes
+        if self.live > self.peak:
+            self.peak = self.live
+
+    def release(self, nbytes: int, _ref) -> None:
+        self.live -= nbytes
+
+
+def _owner_ref(owner, totals: _ByteTotals) -> Callable[[], object]:
+    """A weak reference to ``owner`` that takes its bytes off ``totals`` when
+    it dies; numpy scalars take none, so the tape holds their few bytes."""
     try:
-        return weakref.ref(obj)
+        return weakref.ref(owner, functools.partial(totals.release, owner.nbytes))
     except TypeError:
-        return lambda: obj
+        return lambda: owner
 
 
 # glibc's mallopt parameter numbers, and the largest value it takes (a C int)
@@ -161,20 +185,33 @@ class Graph:
     def __init__(self):
         _keep_step_memory()
         self.nodes: list[_Node] = []
-        # counted arrays by id(), each with a reference that checks identity:
+        # counted owners by id(), each with a reference that checks identity:
         # an id CPython reuses for a new array after the old one died
         # counts again
-        self._seen_arrays: dict[int, Callable[[], object]] = {}
-        self.peak_bytes: int = 0
+        self._seen_owners: dict[int, Callable[[], object]] = {}
+        self._bytes = _ByteTotals()
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @property
+    def live_bytes(self) -> int:
+        """Bytes of the counted owners alive now."""
+        return self._bytes.live
+
+    @property
+    def peak_bytes(self) -> int:
+        """The highest :attr:`live_bytes` so far."""
+        return self._bytes.peak
+
     def _note_bytes(self, arr: np.ndarray) -> None:
-        seen = self._seen_arrays.get(id(arr))
-        if seen is None or seen() is not arr:
-            self._seen_arrays[id(arr)] = _identity_ref(arr)
-            self.peak_bytes += arr.nbytes
+        owner = arr
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        seen = self._seen_owners.get(id(owner))
+        if seen is None or seen() is not owner:
+            self._seen_owners[id(owner)] = _owner_ref(owner, self._bytes)
+            self._bytes.add(owner.nbytes)
 
     def leaf(self, value, op: str = "leaf") -> Tensor:
         """Record a tracked input (parameter or probe point)."""
@@ -620,6 +657,7 @@ def causal_linear(x, w, b) -> Tensor:
             out = np.zeros((m, 2 * length - 1, c))
             for j in range(length - 1):  # window slot j of step t reads padded step t+j
                 out[:, j:j + length] += g4[:, :, j, :]
+            del g4  # as large as the window block that dw builds next
             dx = out[:, length - 1:]
         if need_w:
             dw = g.T @ _window_block(_zero_padded(xd), length, 0, length)
@@ -710,6 +748,8 @@ def backward(root: Tensor) -> GradientMap:
     adopted as its gradient (copied only to make it C-contiguous); a second
     one makes a fresh sum, and only such sums are added into in place, so
     no forward value and no array a vjp handed to two parents is written.
+    Once a node's vjp has run, its gradient leaves the working map, so only
+    the frontier of pending gradients is held, not one per node.
     Every leaf gets a writable, C-contiguous gradient of its own shape that
     shares no memory with another leaf's; leaves the root never touched get
     explicit zeros.
@@ -720,27 +760,30 @@ def backward(root: Tensor) -> GradientMap:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     graph = root.graph
     grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
+    graph._note_bytes(grads[root.node_id])
     summed: set[int] = set()  # nodes whose gradient is a buffer allocated here
     for nid in range(root.node_id, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
         node = graph.nodes[nid]
-        if node.vjp is None:
+        if node.vjp is None or nid not in grads:
             continue
-        contributions = node.vjp(g)
+        contributions = node.vjp(grads[nid])
+        for pg in contributions:
+            if pg is not None:
+                graph._note_bytes(pg)
+        del grads[nid]
         for pid, pg in zip(node.parents, contributions):
             if pid is None or pg is None:
                 continue
-            acc = grads.get(pid)
-            if acc is None:
+            if pid not in grads:
                 # asarray keeps a 0-d shape, which ascontiguousarray does not
                 grads[pid] = np.asarray(pg, order="C")
             elif pid in summed:
-                acc += pg
+                grads[pid] += pg
             else:
-                grads[pid] = np.asarray(acc + pg)  # 0-d sums come back as scalars
+                grads[pid] = np.asarray(grads[pid] + pg)  # 0-d sums come back as scalars
                 summed.add(pid)
+            graph._note_bytes(grads[pid])
+        contributions = pg = None  # the next vjp runs without these
     out: dict[int, np.ndarray] = {}
     bases: set[int] = set()  # memory owners behind adopted leaf gradients
     for lid in graph.leaf_ids():

@@ -3,9 +3,10 @@
 Each scenario times one training step (tracked forward plus backward) and
 one tracked forward of a model kind at given history/horizon lengths,
 reporting the median over repeats after warmup.  ``peak_bytes`` is the
-tape's own byte counter, not process RSS: the cumulative bytes of the
-arrays the tape has seen, so it is not a peak, though identical steps
-report identical totals.
+tape's own count, not process RSS: the highest live total of the arrays a
+training step's tape holds or hands out (forward values, operands and
+every gradient backward creates), and identical steps report identical
+peaks.
 Multiply-accumulate counts come from the closed-form cost formulas.
 The gated-cell and recurrent scenarios run one call per sequence of the
 batch.  Scenarios run strictly one at a time.

@@ -244,7 +244,7 @@ def cmd_bench(args) -> int:
         s = r.scenario
         if r.ok:
             print(f"{s.model} L_h={s.l_h} L_f={s.l_f}: step {r.time_ms_median:.1f} ms, "
-                  f"forward {r.forward_ms_median:.1f} ms, peak {r.peak_bytes} B, "
+                  f"forward {r.forward_ms_median:.1f} ms, tape peak {r.peak_bytes} B, "
                   f"depth {r.graph_depth}")
         else:
             print(f"{s.model} L_h={s.l_h} L_f={s.l_f}: FAILED ({r.error})")

@@ -1,11 +1,14 @@
 """Tensor/tape engine: op semantics, gradients, determinism."""
 
+import gc
 import itertools
 import json
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -710,6 +713,60 @@ class TestGraph:
         assert g.peak_bytes == 800
         ad.add(x, x)
         assert g.peak_bytes == 1600
+
+    def test_discarded_result_leaves_the_live_total(self):
+        g = ad.Graph()
+        x = g.leaf(np.ones(100))
+        ad.add(x, x)
+        assert (g.peak_bytes, g.live_bytes) == (1600, 800)
+
+    def test_view_counts_as_its_base(self):
+        g = ad.Graph()
+        x = g.leaf(np.ones((10, 10)))
+        y = ad.reshape(x, (100,))
+        assert np.shares_memory(x.data, y.data)
+        assert (g.peak_bytes, g.live_bytes) == (800, 800)
+
+    def test_dropped_tape_freed_without_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = ad.Graph()
+            x = g.leaf(np.ones(4))
+            loss = ad.reduce_sum(ad.tanh(ad.mul(x, x)))
+            grads, xid = ad.backward(loss), x.node_id
+            tape = weakref.ref(g)
+            del g, x, loss
+            assert tape() is None  # the returned gradients hold no tape
+            assert grads[xid].shape == (4,)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_backward_memory_flat_in_chain_length(self):
+        # each tanh vjp holds its own value, so the forward keeps 41 MiB
+        # alive; backward may add its frontier of pending gradients, not one
+        # 1 MiB gradient per op
+        mib = 1 << 20
+        g = ad.Graph()
+        x = g.leaf(np.linspace(-1.0, 1.0, mib // 8))
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(40):
+                y = ad.tanh(y)
+            loss = ad.reduce_sum(y)
+            del y
+            forward_traced = tracemalloc.get_traced_memory()[0]
+            forward_live = g.live_bytes
+            tracemalloc.reset_peak()
+            grads = ad.backward(loss)
+            backward_traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[x].shape == x.shape
+        assert backward_traced - forward_traced < 4 * mib
+        assert g.peak_bytes - forward_live < 4 * mib
 
     def test_gradient_shapes_match_forward(self):
         g = ad.Graph()
