@@ -18,9 +18,14 @@ held or handed out, which are forward values, operands and every gradient
 ``backward`` creates, intermediate ones included.  A view counts as its
 base, once.  An owner's bytes are added when the tape first sees it and
 taken off by a weak-reference callback when it dies, so ``live_bytes`` is
-what is alive now.  Scratch arrays inside a primitive or its vjp are not
-counted: ``causal_linear`` counts its input [M, L, c], not the
-[M*L, (L-1)*c] windows it builds block by block and rebuilds in its vjp.
+what is alive now.  Arrays a primitive keeps for its vjp count too
+(``gated_fusion``'s joint input, gate and candidate).  Scratch arrays
+inside a primitive or its vjp are not counted: ``causal_linear`` counts
+its input [M, L, c], not the [M*L, (L-1)*c] windows it builds block by
+block and rebuilds in its vjp, and ``gated_fusion``'s vjp does not count
+its full-size ``dz`` buffers (the gate's and the candidate's
+pre-activation gradients) or the joint input's gradient, which live only
+while that vjp runs.
 Owners are told apart by ``id()`` plus a weak reference, so an id that
 CPython reuses after an array died counts the new array, and identical
 steps report identical peaks.  The callbacks hold the totals, never the
@@ -65,6 +70,8 @@ __all__ = [
     "causal_linear",
     "linear",
     "lerp",
+    "gated_fusion",
+    "collapse_rows",
     "repeat_rows",
     "backward",
     "finite_diff_check",
@@ -221,10 +228,10 @@ class Graph:
         return Tensor(data, self, len(self.nodes) - 1)
 
     def _record(self, op: str, operands: Sequence[Tensor], value: np.ndarray,
-                vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-        for t in operands:
-            self._note_bytes(t.data)
-        self._note_bytes(value)
+                vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+                held: Sequence[np.ndarray] = ()) -> Tensor:
+        for arr in (*(t.data for t in operands), value, *held):
+            self._note_bytes(arr)
         parents = tuple(t.node_id for t in operands)
         self.nodes.append(_Node(op, parents, vjp, value.shape))
         return Tensor(value, self, len(self.nodes) - 1)
@@ -298,11 +305,14 @@ def _graph_of(*operands: Tensor) -> Graph | None:
 
 
 def _emit(op: str, operands: Sequence[Tensor], value: np.ndarray,
-          vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+          vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+          held: Sequence[np.ndarray] = ()) -> Tensor:
+    """Record ``value`` on the operands' tape, if any; ``held`` lists the
+    other arrays the vjp keeps for as long as the tape lives."""
     graph = _graph_of(*operands)
     if graph is None:
         return Tensor(value)
-    return graph._record(op, operands, value, vjp)
+    return graph._record(op, operands, value, vjp, held)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -386,18 +396,26 @@ def mul(a, b) -> Tensor:
     return _elementwise("mul", a, b)
 
 
+def _logistic(z: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overflow-safe sigmoid of ``z`` into ``out``, with ``e`` as scratch
+    (``e`` may be ``z``, which is then overwritten).
+
+    With e = exp(-|z|), max(e, [z >= 0]) / (1 + e) is 1/(1+e) where z >= 0
+    and e/(1+e) elsewhere, the same bits as selecting between the two
+    quotients (NaN, -0.0 and overflowing inputs included) without a
+    data-dependent branch per element.
+    """
+    np.greater_equal(z, 0.0, out=out)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
+
+
 def sigmoid(a) -> Tensor:
     """Logistic function, overflow-safe for any finite input."""
     a = constant(a)
-    x = a.data
-    # two scratch buffers, written in place: this runs on the model's
-    # largest activations, where every fresh buffer is pages to fault in
-    e, d = np.empty_like(x), np.empty_like(x)
-    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
-    np.add(1.0, e, out=d)
-    np.divide(e, d, out=e)    # e / (1 + e), the value where x < 0
-    np.divide(1.0, d, out=d)  # 1 / (1 + e), the value where x >= 0
-    value = np.where(x >= 0, d, e)
+    value = _logistic(a.data, np.empty_like(a.data), np.empty_like(a.data))
 
     # this vjp, tanh's and lerp's group every product as the plain
     # expressions g*v*(1-v), g*(1-v*v), g*(a-b) and g*(1-gate) do, so
@@ -719,6 +737,132 @@ def lerp(gate, a, b) -> Tensor:
         return (d_gate, g * gd if need_a else None, d_b)
 
     return _emit("lerp", (gate, a, b), value, vjp)
+
+
+def gated_fusion(x, history, gate_w, gate_b, cand_w, cand_b,
+                 ) -> tuple[Tensor, Tensor, Tensor]:
+    """The gated cell's fusion as one node: (output, gate, candidate).
+
+    With joint = [x, history] (x [n, c], history [n, d], w [d, c+d], b [d]),
+    gate = sigmoid(joint @ gate_w.T + gate_b), candidate =
+    tanh(joint @ cand_w.T + cand_b) and output = gate*history +
+    (1-gate)*candidate; gate and candidate come back untracked.
+
+    The bits equal the concat, linear, sigmoid, tanh and lerp chain's:
+    the four products (two in the forward, ``dz @ w`` in the vjp) run over
+    all rows on the same operands as that chain's, ``dz.T @ joint`` and
+    ``dz.sum(axis=0)`` stay one operation each, and every element-wise
+    product is grouped as in the chain.  The forward writes the
+    pre-activations into the gate's and the candidate's buffers and runs
+    its element-wise work, which sums nothing across rows, in row blocks of
+    about 1 MiB.  The vjp's ``dz`` of the gate and of the candidate and the
+    joint input's gradient are full-size scratch, which the tape does not
+    count.
+    """
+    x, history, gate_w, gate_b, cand_w, cand_b = (
+        constant(t) for t in (x, history, gate_w, gate_b, cand_w, cand_b))
+    n, c = x.shape if x.data.ndim == 2 else (0, 0)
+    d = history.shape[-1] if history.data.ndim == 2 else 0
+    got = [t.shape for t in (x, history, gate_w, gate_b, cand_w, cand_b)]
+    if not c or not d or got != [(n, c), (n, d), (d, c + d), (d,), (d, c + d), (d,)]:
+        raise DimensionError(
+            "gated_fusion expects x[n, c], history[n, d], weights [d, c+d] and "
+            f"biases [d]; got {x.shape}, {history.shape}, {gate_w.shape}, "
+            f"{gate_b.shape}, {cand_w.shape}, {cand_b.shape}")
+    gw, gb, cw, cb, hd = gate_w.data, gate_b.data, cand_w.data, cand_b.data, history.data
+    joint = np.concatenate([x.data, hd], axis=1)
+    gate, cand, value = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+    np.matmul(joint, gw.T, out=gate)
+    np.matmul(joint, cw.T, out=cand)
+    # a block row touches five [., d] arrays
+    rows = max(1, _SEQUENCE_BLOCK_BYTES // (5 * 8 * d))
+    blocks = [slice(s, s + rows) for s in range(0, n, rows)]
+    scratch = np.empty((min(rows, n), d))
+    for b in blocks:
+        gt, ct = gate[b], cand[b]
+        z = scratch[:len(gt)]
+        np.add(gt, gb, out=z)
+        _logistic(z, gt, z)
+        ct += cb
+        np.tanh(ct, out=ct)
+        np.multiply(gt, hd[b], out=value[b])
+        np.subtract(1.0, gt, out=z)
+        z *= ct
+        value[b] += z
+    del scratch
+    need_x, need_h = x.tracked, history.tracked
+    need_gw, need_gb, need_cw, need_cb = (
+        t.tracked for t in (gate_w, gate_b, cand_w, cand_b))
+
+    def vjp(g):
+        # two [n, c+d] buffers each hold a [n, d] array first, then a
+        # product of the joint input's gradient, so no array of the vjp
+        # outgrows the one it follows
+        spare, d_joint = np.empty(n * (c + d)), np.empty(n * (c + d))
+        # lerp then sigmoid: ((history - candidate) * g * gate) * (1 - gate)
+        dz_cand = np.subtract(1.0, gate, out=spare[:n * d].reshape(n, d))
+        dz_gate = np.subtract(hd, cand)
+        dz_gate *= g
+        dz_gate *= gate
+        dz_gate *= dz_cand
+        # lerp then tanh: ((1 - gate) * g) * (1 - candidate**2)
+        dz_cand *= g
+        slope = np.multiply(cand, cand, out=d_joint[:n * d].reshape(n, d))
+        np.subtract(1.0, slope, out=slope)
+        dz_cand *= slope
+        d_cw = dz_cand.T @ joint if need_cw else None
+        d_cb = dz_cand.sum(axis=0) if need_cb else None
+        d_gw = dz_gate.T @ joint if need_gw else None
+        d_gb = dz_gate.sum(axis=0) if need_gb else None
+        dx = dh = None
+        if need_x or need_h:
+            d_joint = np.matmul(dz_cand, cw, out=d_joint.reshape(n, c + d))
+            d_joint += np.matmul(dz_gate, gw, out=spare.reshape(n, c + d))
+            del spare, dz_cand, dz_gate
+            if need_x:
+                dx = d_joint[:, :c].copy()
+            if need_h:
+                dh = g * gate
+                dh += d_joint[:, c:]
+        return dx, dh, d_gw, d_gb, d_cw, d_cb
+
+    out = _emit("gated_fusion", (x, history, gate_w, gate_b, cand_w, cand_b), value,
+                vjp, held=(joint, gate, cand))
+    return out, Tensor(gate), Tensor(cand)
+
+
+def collapse_rows(x, weight, groups: int) -> Tensor:
+    """Weighted sum over the R rows of each group: x [groups*R, d], rows
+    group-major, and weight [R] -> [groups, d].
+
+    Each group runs as its own [1, R] @ [R, d] product on x in place, so
+    no regrouped copy is built for the forward, and a group's sums do not
+    depend on how many groups run with it.  The weight's gradient
+    ``g[1, groups*d] @ flat.T`` needs x regrouped step-major, flat
+    [R, groups*d]; the vjp builds it only when the weight is tracked.  The
+    gradient of x is w_r * g, the single rounding of a K=1 product.
+    """
+    x, weight = constant(x), constant(weight)
+    if (x.data.ndim != 2 or weight.data.ndim != 1 or groups < 1
+            or x.shape[0] != groups * weight.shape[0]):
+        raise DimensionError(
+            f"collapse_rows expects x[groups*R, d] and weight[R] for {groups} groups; "
+            f"got {x.shape} and {weight.shape}")
+    rows, d = weight.shape[0], x.shape[1]
+    by_group, w_row = x.data.reshape(groups, rows, d), weight.data.reshape(1, rows)
+    value = np.matmul(w_row, by_group).reshape(groups, d)
+    need_x, need_w = x.tracked, weight.tracked
+
+    def vjp(g):
+        dx = dw = None
+        if need_x:
+            dx = (w_row.T * g.reshape(groups, 1, d)).reshape(groups * rows, d)
+        if need_w:
+            flat = np.ascontiguousarray(by_group.transpose(1, 0, 2)).reshape(rows, groups * d)
+            dw = (g.reshape(1, groups * d) @ flat.T).reshape(rows)
+        return dx, dw
+
+    return _emit("collapse_rows", (x, weight), value, vjp)
 
 
 def repeat_rows(a, times: int) -> Tensor:

@@ -275,7 +275,22 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
     c_lin = rng.uniform(-1, 1, (4, 2))
     c_cat = rng.uniform(-1, 1, (8, 3))
     c_stack = rng.uniform(-1, 1, (2, 2, 2))
+    # gated_fusion over x [4, 3] and a history [4, 2]; collapse_rows of a
+    # [2*2, 4] input in two groups
+    fusion = [x, *(rng.uniform(-1, 1, s) for s in ((4, 2), (2, 5), (2,), (2, 5), (2,)))]
+    c_fusion = rng.uniform(-1, 1, (4, 2))
+    collapse_x, collapse_w = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, 2)
+    c_collapse = rng.uniform(-1, 1, (2, 4))
     cx, cm, cw, cb, co = (ad.constant(v) for v in (x, m, w, b, other))
+
+    def fused(i):
+        """gated_fusion differentiated in operand i alone."""
+        def f(t):
+            operands = [t if j == i else ad.constant(a) for j, a in enumerate(fusion)]
+            return ad.reduce_sum(ad.mul(ad.gated_fusion(*operands)[0],
+                                        ad.constant(c_fusion)))
+        return f, fusion[i]
+
     cases = {
         "matmul": (lambda t: ad.reduce_sum(ad.matmul(t, cm)), x),
         "matmul.b": (lambda t: ad.reduce_sum(ad.matmul(cx, t)), m),
@@ -319,7 +334,13 @@ def _op_gradient_suite(seed: int = 0) -> dict[str, float]:
         "lerp.b": (lambda t: ad.reduce_sum(ad.lerp(ad.sigmoid(cx), co, t)), x),
         "repeat_rows": (lambda t: ad.reduce_sum(ad.mul(ad.repeat_rows(t, 3),
                                                        ad.constant(c_rep))), x),
+        "collapse_rows": (lambda t: ad.reduce_sum(ad.mul(ad.collapse_rows(
+            t, ad.constant(collapse_w), 2), ad.constant(c_collapse))), collapse_x),
+        "collapse_rows.weight": (lambda t: ad.reduce_sum(ad.mul(ad.collapse_rows(
+            ad.constant(collapse_x), t, 2), ad.constant(c_collapse))), collapse_w),
     }
+    for i, operand in enumerate(("", ".history", ".gate_w", ".gate_b", ".cand_w", ".cand_b")):
+        cases["gated_fusion" + operand] = fused(i)
     return {name: ad.finite_diff_check(f, at) for name, (f, at) in cases.items()}
 
 

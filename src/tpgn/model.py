@@ -359,17 +359,6 @@ def _cell_keys(w: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     return {k[cut:]: v for k, v in w.items() if k.startswith(prefix)}
 
 
-def _collapse_rows(x: Tensor, groups: int, rows: int, weight: Tensor,
-                   bias: Tensor) -> Tensor:
-    """Weighted sum over the R axis: x [groups*R, d], rows group-major ->
-    [groups, d], one matmul for every group and channel."""
-    d = x.shape[1]
-    by_step = ad.permute(ad.reshape(x, (groups, rows, d)), (1, 0, 2))
-    flat = ad.reshape(by_step, (rows, groups * d))
-    agg = ad.matmul(ad.reshape(weight, (1, rows)), flat)
-    return ad.add(ad.reshape(agg, (groups, d)), bias)
-
-
 def _first_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which of the columns [B, P, R, c] run, and where each one's summary is.
 
@@ -402,7 +391,7 @@ def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     b, rows, period, c = grid.shape
     seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
     cells = baselines.CELLS[kind].apply(seqs, _cell_keys(w, "cell."))
-    return _collapse_rows(cells, b * period, rows, w["long_w"], w["long_b"])
+    return ad.add(ad.collapse_rows(cells, w["long_w"], b * period), w["long_b"])
 
 
 def _distinct_summaries(grid: np.ndarray, w: dict[str, Tensor], kind: str,
@@ -427,7 +416,7 @@ def _distinct_summaries(grid: np.ndarray, w: dict[str, Tensor], kind: str,
     out = np.empty((len(todo), d))
     for s, e in ad.sequence_blocks(len(todo), rows * d * 8, d, d):
         part = apply(ad.constant(todo[s:e]), cell_w)
-        out[s:e] = _collapse_rows(part, e - s, rows, w["long_w"], w["long_b"]).data
+        out[s:e] = ad.add(ad.collapse_rows(part, w["long_w"], e - s), w["long_b"]).data
     return out, source
 
 
@@ -436,7 +425,7 @@ def _global_vector(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
     b, rows, period, c = grid.shape
     rows_flat = ad.reshape(grid, (b * rows, period * c))
     patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
-    return _collapse_rows(patches, b, rows, w["col_w"], w["col_b"])
+    return ad.add(ad.collapse_rows(patches, w["col_w"], b), w["col_b"])
 
 
 def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:

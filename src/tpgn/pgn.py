@@ -12,12 +12,14 @@ The history summary looks at exactly the L-1 steps strictly before t
 (oldest first), taken from a zero-padded prefix, so no step depends on any
 other step's result: the whole sequence is one causal linear map
 (:func:`tpgn.autodiff.causal_linear`, which skips most of the padding
-zeros), two affine maps and a gate, and the computation-graph depth from
-input to output does not grow with L.  :func:`pgn_apply` is the one
-implementation: it runs M independent sequences [M, L, c] through the same
-weights at once.  :func:`pgn_forward` calls it untracked for one
-sequence, and the model's long branch, the benchmark and the depth probe
-reach it through the cell table in :mod:`tpgn.baselines`.
+zeros) and one gated fusion node (:func:`tpgn.autodiff.gated_fusion`: both
+affine maps, the sigmoid, the tanh and the blend), and the
+computation-graph depth from input to output does not grow with L.
+:func:`pgn_apply` is the one implementation: it runs M independent
+sequences [M, L, c] through the same weights at once.  :func:`pgn_forward`
+calls it untracked for one sequence, and the model's long branch, the
+benchmark and the depth probe reach it through the cell table in
+:mod:`tpgn.baselines`.
 
 Window flattening is time-major with channels contiguous per step, and
 the gate concatenation puts the c input channels before the hidden state,
@@ -72,7 +74,12 @@ class PgnParams(ParamSet):
 
 @dataclass
 class PgnOutput:
-    """Per-step activations: history summary, gate, candidate and fusion."""
+    """Per-step activations: history summary, gate, candidate and fusion.
+
+    ``history`` and ``output`` are tracked when the pass is; ``gate`` and
+    ``candidate`` are always untracked values, because the fused node
+    differentiates through them itself.
+    """
 
     history: Tensor    # [M*L, hidden]
     gate: Tensor       # [M*L, hidden], entries in (0, 1)
@@ -97,10 +104,9 @@ def pgn_apply(x: Tensor, w: dict[str, Tensor]) -> PgnOutput:
     """
     m, length, c = x.shape
     history = ad.causal_linear(x, w["hie_w"], w["hie_b"])
-    joint = ad.concat([ad.reshape(x, (m * length, c)), history], axis=1)
-    gate = ad.sigmoid(ad.linear(joint, w["gate_w"], w["gate_b"]))
-    candidate = ad.tanh(ad.linear(joint, w["cand_w"], w["cand_b"]))
-    output = ad.lerp(gate, history, candidate)
+    output, gate, candidate = ad.gated_fusion(
+        ad.reshape(x, (m * length, c)), history, w["gate_w"], w["gate_b"],
+        w["cand_w"], w["cand_b"])
     return PgnOutput(history=history, gate=gate, candidate=candidate, output=output)
 
 

@@ -159,6 +159,23 @@ class TestActivations:
         assert np.all((s > 0.0) & (s < 1.0))
         assert np.all((t > -1.0) & (t < 1.0))
 
+    def test_sigmoid_bitwise_equal_to_select_formula(self):
+        # the branch-free form against the selection between the two
+        # quotients that it replaces, bit for bit
+        def select(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        tiny = np.finfo(np.float64).tiny
+        payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000123],
+                                dtype=np.uint64).view(np.float64)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, 800.0, -800.0, np.inf, -np.inf,
+                            tiny, -tiny, tiny / 2, -tiny / 2, 5e-324, -5e-324,
+                            36.7, -36.7, 709.8, -745.2, *payload_nans])
+        rng = np.random.default_rng(11)
+        for x in (special, rng.standard_normal(20_000) * 20, rng.standard_normal((64, 48))):
+            assert ad.sigmoid(ad.constant(x)).data.tobytes() == select(x).tobytes()
+
 
 class TestConcat:
     def test_length_one_parts(self):
@@ -485,6 +502,150 @@ class TestStructuredOps:
         assert np.array_equal(out.data[:3], np.tile(x[0], (3, 1)))
 
 
+def _fused_and_chain_grads(fused, chain, operands, tracked):
+    """Forward values and leaf gradients of two builds of one function.
+
+    ``operands`` are arrays; those flagged in ``tracked`` become leaves.
+    The root is a fixed random weighting of the first output, so every
+    gradient entry is exercised.  Returns, per build, the forward arrays
+    followed by the gradient of each tracked operand.
+    """
+    results = []
+    for build in (fused, chain):
+        graph = ad.Graph()
+        ts = [graph.leaf(a) if t else ad.constant(a) for a, t in zip(operands, tracked)]
+        outs = build(*ts)
+        mix = np.random.default_rng(99).standard_normal(outs[0].shape)
+        grads = ad.backward(ad.reduce_sum(ad.mul(outs[0], ad.constant(mix))))
+        results.append([o.data for o in outs] + [grads[t] for t in ts if t.tracked])
+    return results
+
+
+class TestGatedFusion:
+    """The fused node against the concat/linear/sigmoid/tanh/lerp chain it
+    replaces, composed here from the separate ops: every forward value and
+    every vjp output must match bit for bit."""
+
+    @staticmethod
+    def chain(x, history, gate_w, gate_b, cand_w, cand_b):
+        joint = ad.concat([x, history], axis=1)
+        gate = ad.sigmoid(ad.linear(joint, gate_w, gate_b))
+        candidate = ad.tanh(ad.linear(joint, cand_w, cand_b))
+        return ad.lerp(gate, history, candidate), gate, candidate
+
+    # (rows, c, d): the protocol step's and forecast_eval's cells, whose
+    # element-wise work runs in several row blocks and a shorter last one;
+    # a few rows and d = 1, in one block; a vjp product in the small-matrix
+    # kernel; an inner dimension past one 384-deep K-block; and widths at
+    # which row blocks of a GEMM sum differently from the whole product
+    SHAPES = [(5376, 5, 32), (3745, 5, 32), (20, 2, 4), (3000, 3, 1), (1803, 300, 2),
+              (401, 10, 380), (300, 5, 200), (2900, 2, 16)]
+
+    @pytest.mark.parametrize("x_tracked", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_byte_equal_to_op_chain(self, shape, x_tracked):
+        n, c, d = shape
+        rng = np.random.default_rng(n + c + d)
+        bound = 1.0 / np.sqrt(c + d)
+        operands = [rng.standard_normal((n, c)), rng.standard_normal((n, d)) * 2,
+                    rng.uniform(-bound, bound, (d, c + d)), rng.uniform(-0.5, 0.5, d),
+                    rng.uniform(-bound, bound, (d, c + d)), rng.uniform(-0.5, 0.5, d)]
+        fused, chained = _fused_and_chain_grads(
+            ad.gated_fusion, self.chain, operands, [x_tracked] + [True] * 5)
+        assert len(fused) == 3 + 5 + x_tracked
+        for got, want in zip(fused, chained):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gate_and_candidate_untracked(self):
+        graph = ad.Graph()
+        rng = np.random.default_rng(5)
+        out, gate, candidate = ad.gated_fusion(
+            rng.standard_normal((6, 2)), graph.leaf(rng.standard_normal((6, 3))),
+            *(graph.leaf(rng.standard_normal(s)) for s in ((3, 5), (3,), (3, 5), (3,))))
+        assert out.tracked and not gate.tracked and not candidate.tracked
+        assert len(graph) == 6  # five weight and history leaves, one node
+
+    def test_shapes_checked(self):
+        ok = [np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 5)), np.zeros(3),
+              np.zeros((3, 5)), np.zeros(3)]
+        ad.gated_fusion(*ok)
+        for i, bad in [(0, np.zeros(4)), (1, np.zeros((5, 3))), (2, np.zeros((3, 4))),
+                       (3, np.zeros(2)), (4, np.zeros((5, 3))), (5, np.zeros((3, 1)))]:
+            with pytest.raises(DimensionError, match="gated_fusion"):
+                ad.gated_fusion(*ok[:i], bad, *ok[i + 1:])
+
+
+class TestCollapseRows:
+    """The copy-free collapse against the regroup-and-multiply chain it
+    replaces, composed here from the separate ops.
+
+    Each group's [1, R] @ [R, d] product sums like the chain's one product
+    over all groups where d is a multiple of four, the widths the model
+    runs: OpenBLAS's GEMV (0.3.31, Haswell kernel, on the machine at hand)
+    forms four output columns at a time and the columns past the last
+    multiple of four in another order.  At every width a group's sums do
+    not depend on which groups run with it, and the vjp outputs are the
+    chain's, because they take the incoming gradient alone.
+    """
+
+    @staticmethod
+    def chain(x, weight, groups):
+        rows, d = weight.shape[0], x.shape[1]
+        by_step = ad.permute(ad.reshape(x, (groups, rows, d)), (1, 0, 2))
+        flat = ad.reshape(by_step, (rows, groups * d))
+        return ad.reshape(ad.matmul(ad.reshape(weight, (1, rows)), flat), (groups, d)),
+
+    # (groups, R, d): the eval, protocol and one-window shapes and
+    # long_history's R and d; then widths that are not a multiple of four
+    WIDE = [(768, 7, 32), (32, 7, 32), (55, 7, 32), (1, 7, 32), (24, 60, 128)]
+    ODD = [(9, 7, 6), (13, 5, 5), (7, 5, 1)]
+
+    @staticmethod
+    def both(shape, x_tracked):
+        groups, rows, d = shape
+        rng = np.random.default_rng(groups * rows + d)
+        operands = [rng.standard_normal((groups * rows, d)), rng.standard_normal(rows)]
+        return _fused_and_chain_grads(
+            lambda x, w: (ad.collapse_rows(x, w, groups),),
+            lambda x, w: TestCollapseRows.chain(x, w, groups), operands, [x_tracked, True])
+
+    @pytest.mark.parametrize("x_tracked", [False, True])
+    @pytest.mark.parametrize("shape", WIDE, ids=lambda shape: "x".join(map(str, shape)))
+    def test_byte_equal_to_op_chain(self, shape, x_tracked):
+        fused, chained = self.both(shape, x_tracked)
+        assert len(fused) == 2 + x_tracked
+        for got, want in zip(fused, chained):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x_tracked", [False, True])
+    @pytest.mark.parametrize("shape", ODD, ids=lambda shape: "x".join(map(str, shape)))
+    def test_odd_width_gradients_byte_equal_value_close(self, shape, x_tracked):
+        (value, *grads), (want, *want_grads) = self.both(shape, x_tracked)
+        np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-13)
+        assert len(grads) == 1 + x_tracked
+        for got, expected in zip(grads, want_grads):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", WIDE[:3] + ODD, ids=lambda shape: "x".join(map(str, shape)))
+    def test_each_group_sums_alike_in_any_batch(self, shape):
+        groups, rows, d = shape
+        rng = np.random.default_rng(groups + rows * d)
+        x, w = rng.standard_normal((groups * rows, d)), rng.standard_normal(rows)
+        whole = ad.collapse_rows(x, w, groups).data
+        cut = groups // 2
+        parts = [ad.collapse_rows(x[s * rows:e * rows], w, e - s).data
+                 for s, e in ((0, cut), (cut, groups)) if e > s]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError, match="collapse_rows"):
+            ad.collapse_rows(np.zeros((7, 2)), np.zeros(3), 2)
+        with pytest.raises(DimensionError, match="collapse_rows"):
+            ad.collapse_rows(np.zeros((6, 2)), np.zeros((3, 1)), 2)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         g = ad.Graph()
@@ -671,7 +832,10 @@ class TestFiniteDiff:
         errors = _op_gradient_suite(seed=0)
         assert len(errors) >= 15
         assert {"matmul.b", "add.b", "sub.a", "mul.b", "concat.b", "linear.w",
-                "linear.b", "linear.stacked", "lerp.b"} <= set(errors)
+                "linear.b", "linear.stacked", "lerp.b", "collapse_rows",
+                "collapse_rows.weight"} <= set(errors)
+        assert {f"gated_fusion{o}" for o in ("", ".history", ".gate_w", ".gate_b",
+                                             ".cand_w", ".cand_b")} <= set(errors)
         worst = max(errors.values())
         assert worst < 1e-5, f"worst op error {worst}: {errors}"
 

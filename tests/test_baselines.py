@@ -212,3 +212,34 @@ class TestCellTable:
 
         with pytest.raises(ContractError, match="unsupported"):
             cell_kind(object())
+
+
+class TestGradientFlow:
+    """How much of the last state's gradient reaches the input ``lag`` steps
+    back, at initialization: one channel, L = 256, d = 16, seeds 0-2.  The
+    input leaf is built as :func:`sequence_graph_depth` builds it.  The
+    bounds were fixed before the first run."""
+
+    L, HIDDEN = 256, 16
+
+    @classmethod
+    def lag_gradient(cls, kind: str, seed: int) -> np.ndarray:
+        """|d sum(state L-1) / d x_(L-1-lag)| for lag = 0 .. L-1."""
+        rng = np.random.default_rng(seed)
+        params = new_cell(kind, cls.L, 1, cls.HIDDEN, rng)
+        graph = ad.Graph()
+        x = graph.leaf(rng.uniform(-1, 1, (1, cls.L, 1)), op="input")
+        states = CELLS[kind].apply(x, params.leaf_into(graph))
+        last = ad.reduce_sum(ad.slice_rows(states, cls.L - 1, cls.L))
+        return np.abs(ad.backward(last)[x][0, ::-1, 0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parallel_cell_reaches_the_oldest_step(self, seed):
+        grad = self.lag_gradient("pgn", seed)
+        assert grad[self.L - 1] >= 1e-3 * grad[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_recurrences_vanish_by_lag_100(self, kind, seed):
+        grad = self.lag_gradient(kind, seed)
+        assert grad[100] <= 1e-12 * grad[1]

@@ -848,7 +848,7 @@ class TestPerPhaseHead:
             diff = ad.sub(preds, ad.constant(stack_targets(windows)))
             ad.reduce_mean(ad.mul(diff, diff))
             nodes[shared] = len(g)
-        assert nodes == {True: 45, False: 46}
+        assert nodes == {True: 30, False: 31}
 
     def test_batch_equals_single(self):
         params = TpgnParams.init(8, 8, 4, 1, 3, np.random.default_rng(46),
