@@ -175,16 +175,15 @@ def cmd_train(args) -> int:
     ckpt.save(ck_path)
     log_path = versioned_path(out_dir / "epoch_log.csv")
     training.write_epoch_log(log_path, log)
-    metrics = training.evaluate(ckpt, test_w)
+    # the best epoch's weights, which fit has already left behind
+    best_params, _ = training.params_from_checkpoint(ckpt)
+    metrics, preds = training.score_windows(best_params, test_w, cfg.model_config())
     metrics_path = _write_metrics(out_dir, metrics)
-    eval_params, eval_cfg = training.params_from_checkpoint(ckpt)
-    first_preds = training.predict_windows(eval_params, test_w[:1],
-                                           eval_cfg.model_config())[0]
     # the first test window's horizon starts after its history
     n_train, n_val, _ = data_mod.split_points(len(series))
     start = n_train + n_val + cfg.l_h
     pred_path = _write_predictions(out_dir, series.timestamps[start:start + cfg.l_f],
-                                   test_w[0].y_true, first_preds)
+                                   test_w[0].y_true, preds[0])
     print(f"checkpoint: {ck_path}")
     print(f"epoch log: {log_path}")
     print(f"predictions: {pred_path}")
@@ -196,7 +195,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = training.Checkpoint.load(args.checkpoint)
-    _, cfg = training.params_from_checkpoint(ckpt)  # rejects a bad echo up front
+    params, cfg = training.params_from_checkpoint(ckpt)  # rejects a bad echo up front
     res = dict(_TRAIN_DEFAULTS)
     # the run-only settings that locate the data; echoes that predate
     # timestamp_column fall back to its default
@@ -210,7 +209,7 @@ def cmd_eval(args) -> int:
     # window geometry always comes from the checkpoint echo
     res["lh"], res["lf"] = cfg.l_h, cfg.l_f
     _, (_, _, test_w) = _load_windows(res)
-    metrics = training.evaluate(ckpt, test_w)
+    metrics, _ = training.score_windows(params, test_w, cfg.model_config())
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = _write_metrics(out_dir, metrics)

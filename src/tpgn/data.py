@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .model import SeriesWindow
 
 __all__ = [
@@ -103,6 +104,46 @@ def _parse_value(text: str, row: int, column: str) -> float:
     return value
 
 
+# A plain stamp, ``YYYY-MM-DD HH:MM:SS``: ASCII digits everywhere but the
+# separators.  numpy's parser reads every such stamp with a year from 0001
+# as ``fromisoformat`` does, and raises ValueError where it does (a day,
+# hour or second out of range).
+_PLAIN_FORM = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
+_PLAIN_DIGITS = _PLAIN_FORM == ord("0")  # the year's four come first
+
+
+def _plain_stamps(cells: list[str]) -> np.ndarray | None:
+    """All stamps as ``datetime64[us]`` when every cell is a plain stamp
+    that numpy parses, else None (the cells then go row by row)."""
+    try:
+        text = np.array(cells, dtype="S")  # ASCII, NUL-padded to the longest
+    except UnicodeEncodeError:
+        return None
+    if text.itemsize != _PLAIN_FORM.size:
+        return None
+    codes = text.view(np.uint8).reshape(len(cells), _PLAIN_FORM.size)
+    digits = codes[:, _PLAIN_DIGITS]
+    digits -= ord("0")  # a code below "0" wraps high
+    separators = codes[:, ~_PLAIN_DIGITS]
+    if not ((digits <= 9).all() and (separators == _PLAIN_FORM[~_PLAIN_DIGITS]).all()
+            and digits[:, :4].any(axis=1).all()):  # fromisoformat rejects year 0000
+        return None
+    try:
+        return text.astype("datetime64[us]")
+    except ValueError:
+        return None
+
+
+def _finite_values(cells: list[str]) -> np.ndarray | None:
+    """All cells as floats (``float`` per cell) when every one is finite,
+    else None (a missing marker, a bad or non-finite cell goes row by row)."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSeries:
     """Parse one target column; empty cells become NaN (counted as missing).
 
@@ -111,7 +152,9 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
 
     Rows are sorted by timestamp; an exact duplicate timestamp is an error
     since it would make the aggregation ambiguous.  Field counts, stamps and
-    values are checked in that order, each over all rows.
+    values are checked in that order, each over all rows.  A column of
+    plain ``YYYY-MM-DD HH:MM:SS`` stamps, or of finite values, is parsed
+    as one array; any other column is read row by row with the same result.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -129,21 +172,35 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
                 raise DataError(f"{path} has no column {col!r} (header: {header})")
         t_idx = header.index(timestamp_column)
         v_idx = header.index(target_column)
-        # blank lines (every cell whitespace) are skipped but keep their number
-        numbered = [(row_no, row) for row_no, row in enumerate(reader, start=2)
-                    if "".join(row).strip()]
-    if not numbered:
+        width = max(t_idx, v_idx)
+        # only the two columns are kept; blank lines (every cell whitespace)
+        # are skipped but keep their number
+        stamp_cells, value_cells, blank = [], [], []
+        for row_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                blank.append(row_no)
+            elif len(row) <= width:
+                raise DataError(f"row {row_no}: expected {len(header)} fields, "
+                                f"got {len(row)}")
+            else:
+                stamp_cells.append(row[t_idx])
+                value_cells.append(row[v_idx])
+    n = len(stamp_cells)
+    if not n:
         raise DataError(f"{path} has no data rows")
-    width = max(t_idx, v_idx)
-    for row_no, row in numbered:
-        if len(row) <= width:
-            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-    stamps = np.fromiter((_parse_timestamp(row[t_idx], row_no) for row_no, row in numbered),
-                         dtype=np.int64, count=len(numbered))
-    values = np.fromiter((_parse_value(row[v_idx], row_no, target_column)
-                          for row_no, row in numbered), dtype=np.float64, count=len(numbered))
+    # the file row of each record, for the row-by-row parses' errors
+    row_nos = np.delete(np.arange(2, 2 + n + len(blank)), np.array(blank, dtype=int) - 2)
+    stamps = _plain_stamps(stamp_cells)
+    if stamps is None:
+        stamps = np.fromiter(map(_parse_timestamp, stamp_cells, row_nos.tolist()),
+                             dtype=np.int64, count=n).view("datetime64[us]")
+    values = _finite_values(value_cells)
+    if values is None:
+        values = np.fromiter((_parse_value(cell, row_no, target_column)
+                              for cell, row_no in zip(value_cells, row_nos.tolist())),
+                             dtype=np.float64, count=n)
     order = np.argsort(stamps, kind="stable")
-    stamps, values = stamps[order].view("datetime64[us]"), values[order]
+    stamps, values = stamps[order], values[order]
     dup = np.flatnonzero(stamps[1:] == stamps[:-1])
     if dup.size:
         raise DataError(f"duplicated timestamp {format_stamps(stamps[dup[:1]])[0]}")
@@ -240,15 +297,28 @@ def split_points(n: int) -> tuple[int, int, int]:
 def windows_of(values, l_h: int, l_f: int, feats=None) -> list[SeriesWindow]:
     """All stride-1 windows of one split: count = n - l_h - l_f + 1.
 
-    Their arrays are views of ``values`` and ``feats`` (when float64).
+    ``values`` must be 1-D and ``feats`` ``[n, c]``, else DimensionError.
+    Their arrays are views of ``values`` and ``feats`` (when float64), cut
+    from the split checked once, so no window repeats SeriesWindow's checks.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    if feats is None:
-        feats = np.zeros((n, 0))
-    return [SeriesWindow(x_1d=values[i:i + l_h], tf_enc=feats[i:i + l_h],
-                         y_true=values[i + l_h:i + l_h + l_f])
-            for i in range(n - l_h - l_f + 1)]
+    feats = np.zeros((n, 0)) if feats is None else np.asarray(feats, dtype=np.float64)
+    if values.ndim != 1 or feats.ndim != 2 or len(feats) != n:
+        raise DimensionError(f"windows need values [n] and features [n, c], got "
+                             f"shapes {values.shape} and {feats.shape}")
+    if n < l_h + l_f:
+        return []
+    histories = sliding_window_view(values[:n - l_f], l_h, writeable=True)
+    calendars = sliding_window_view(feats[:n - l_f], l_h, axis=0,
+                                    writeable=True).transpose(0, 2, 1)
+    targets = sliding_window_view(values[l_h:], l_f, writeable=True)
+    windows = []
+    for x_1d, tf_enc, y_true in zip(histories, calendars, targets):
+        window = object.__new__(SeriesWindow)  # the fields are checked above
+        window.x_1d, window.tf_enc, window.y_true = x_1d, tf_enc, y_true
+        windows.append(window)
+    return windows
 
 
 def split_and_window(series: RawSeries, spec: SplitSpec,

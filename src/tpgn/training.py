@@ -36,6 +36,7 @@ __all__ = [
     "adam_step",
     "fit",
     "evaluate",
+    "score_windows",
     "predict_windows",
     "parse_setting",
     "params_from_checkpoint",
@@ -415,11 +416,16 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
     return best, records
 
 
+def score_windows(params: TpgnParams, windows, mcfg: TpgnConfig,
+                  ) -> tuple[dict[str, float], np.ndarray]:
+    """MSE and MAE over a window set, original units, and the predictions
+    [N, L_f] they score."""
+    preds = predict_windows(params, windows, mcfg)
+    targets = stack_targets(windows)
+    return {"mse": mse(preds, targets), "mae": mae(preds, targets)}, preds
+
+
 def evaluate(ckpt: Checkpoint, test_windows) -> dict[str, float]:
     """MSE and MAE of a checkpointed model over a window set, original units."""
-    if not test_windows:
-        raise ConfigError("evaluation needs at least one window")
     params, cfg = params_from_checkpoint(ckpt)
-    preds = predict_windows(params, test_windows, cfg.model_config())
-    targets = stack_targets(test_windows)
-    return {"mse": mse(preds, targets), "mae": mae(preds, targets)}
+    return score_windows(params, test_windows, cfg.model_config())[0]

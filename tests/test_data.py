@@ -7,8 +7,8 @@ import pytest
 
 from tpgn.data import (RawSeries, SplitSpec, aggregate_hourly,
                        apply_noise, load_csv, make_time_features,
-                       save_csv, split_and_window, synthetic_sinusoid)
-from tpgn.errors import ConfigError, DataError
+                       save_csv, split_and_window, synthetic_sinusoid, windows_of)
+from tpgn.errors import ConfigError, DataError, DimensionError
 from tpgn.model import SeriesWindow
 
 
@@ -193,6 +193,16 @@ class TestSplitAndWindow:
         s = RawSeries(hourly(60), np.arange(60.0), "v")
         for split in split_and_window(s, SplitSpec(l_h=4, l_f=2)):
             assert all(np.shares_memory(w.x_1d, s.values) for w in split)
+
+    @pytest.mark.parametrize("values, feats", [
+        (np.zeros((10, 2)), None),          # 2-D values
+        (np.zeros(10), np.zeros((9, 4))),   # features one row short
+        (np.zeros(10), np.zeros((11, 4))),  # one row long
+        (np.zeros(10), np.zeros(10)),       # 1-D features
+    ], ids=["2d-values", "short-feats", "long-feats", "1d-feats"])
+    def test_window_shapes_checked_once(self, values, feats):
+        with pytest.raises(DimensionError):
+            windows_of(values, l_h=2, l_f=1, feats=feats)
 
     def test_too_short_split_rejected(self):
         s = RawSeries(hourly(30), np.zeros(30), "v")

@@ -16,6 +16,7 @@ from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
                         stack_grid, stack_targets, tpgn_forward, tpgn_forward_batch,
                         tpgn_graph_depth)
 from tpgn.pgn import pgn_forward_oracle
+from tpgn.training import predict_windows
 
 
 def make_window(l_h, l_f, c_time=1, seed=0, x=None):
@@ -655,6 +656,28 @@ class TestBlockedPerPhaseHead:
         for norm in (0, 1):
             assert np.array_equal(untracked_forward(windows, params, norm),
                                   tracked_forward(windows, params, norm)), norm
+
+
+class TestWideModels:
+    """Wide models whose untracked forward runs several sequence and head
+    blocks.  At these widths, multiples of eight, it is byte-equal to the
+    tracked forward; at d_m such as 196 or 300 it is not."""
+
+    @pytest.mark.parametrize("variant", ["full", "gru"])
+    @pytest.mark.parametrize("d", [200, 256])
+    def test_predict_windows_matches_tracked_forward(self, variant, d):
+        # 160 consecutive windows at 168->168, P=24: 183 distinct columns
+        # in 2 (d=200) or 3 (d=256) sequence blocks, the head in window blocks
+        n, rows = 160, 7
+        assert len(ad.sequence_blocks(n + 23, rows * d * 8, d, d)) > 1
+        assert len(head_plan(n, period=24, d=d, r_f=rows)) > 1
+        windows = consecutive_windows(n, l_h=168, l_f=168)
+        params = TpgnParams.init(168, 168, 24, 4, d, np.random.default_rng(d),
+                                 VARIANTS[variant])
+        for norm in (0, 1):
+            cfg = TpgnConfig(norm=norm, period=24, variant=VARIANTS[variant])
+            assert (predict_windows(params, windows, cfg).tobytes()
+                    == tracked_forward(windows, params, norm).tobytes()), norm
 
 
 class TestGradients:

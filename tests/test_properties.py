@@ -1,10 +1,12 @@
 """Property tests: the causal linear map, the batched gated cell,
-broadcasting vjps, batched input normalization, and the datetime64
-ingest (hour flooring, calendar features, offset stamps, the CSV round
-trip) against the per-stamp ``datetime`` formulas."""
+broadcasting vjps, batched input normalization, the datetime64 ingest
+(hour flooring, calendar features, offset stamps, the CSV round trip)
+against the per-stamp ``datetime`` formulas, and the array-at-once CSV
+columns and windows against their row-by-row and per-window forms."""
 
 import math
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpgn import autodiff as ad
+from tpgn import data
 from tpgn.data import (RawSeries, aggregate_hourly, load_csv, make_time_features,
-                       save_csv)
+                       save_csv, windows_of)
 from tpgn.errors import DataError
 from tpgn.model import (SIGMA_FLOOR, SeriesWindow, TpgnParams, forecast_head,
                         prepare_input)
@@ -294,3 +297,102 @@ def test_csv_round_trip_keeps_every_stamp(tmp_path_factory, stamps, values):
     back = load_csv(path, "v")
     assert back.timestamps.tolist() == stamps
     assert back.values.tobytes() == series.values.tobytes()
+
+
+# --- whole-column CSV parsing and one-pass windows ---------------------------
+
+PLAIN_STAMPS = st.datetimes(min_value=datetime(1, 1, 1),
+                            max_value=datetime(9999, 12, 31, 23, 59, 59),
+                            ).map(lambda t: t.replace(microsecond=0))
+
+
+def _write_rows(path, stamps, values):
+    """A ``date,v`` CSV with a blank line and a whitespace-only row after
+    its first record, so later records sit on rows 5, 6, ..."""
+    rows = [f"{ts},{v}" for ts, v in zip(stamps, values)]
+    rows[1:1] = ["", " , "]
+    path.write_text("date,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _load_both_ways(path):
+    """load_csv's stamps and values (bytes) or its DataError message, as
+    it runs and with every cell parsed row by row."""
+    def outcome():
+        try:
+            series = load_csv(path, "v")
+        except DataError as exc:
+            return str(exc)
+        return series.timestamps.tobytes(), series.values.tobytes()
+
+    as_run = outcome()
+    with mock.patch.object(data, "_plain_stamps", return_value=None), \
+            mock.patch.object(data, "_finite_values", return_value=None):
+        return as_run, outcome()
+
+
+@SETTINGS
+@given(stamps=st.lists(PLAIN_STAMPS, min_size=1, max_size=30, unique=True),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=30, max_size=30))
+@example(stamps=[datetime(9999, 12, 31, 23, 59, 59), datetime(1, 1, 1),
+                 datetime(1969, 12, 31, 23, 59, 59), datetime(2000, 2, 29, 12)],
+         values=[-0.0, 5e-324, 1.7976931348623157e308, 0.1] * 7 + [1.0, 2.0])
+def test_plain_columns_parse_whole_like_row_by_row(tmp_path_factory, stamps, values):
+    texts = [ts.isoformat(sep=" ") for ts in stamps]
+    cells = [repr(v) for v in values[:len(stamps)]]
+    assert data._plain_stamps(texts) is not None
+    assert data._finite_values(cells) is not None
+    path = tmp_path_factory.mktemp("plain") / "plain.csv"
+    _write_rows(path, texts, cells)
+    as_run, row_by_row = _load_both_ways(path)
+    assert as_run == row_by_row
+    assert as_run[0] == np.array(sorted(stamps), dtype="datetime64[us]").tobytes()
+
+
+# the last two have the plain length, and numpy would read both (warning
+# only that it drops the zone); fromisoformat rejects the second
+ODD_STAMPS = ["2021-01-01 05:00:00Z", "2021-01-01 05:00:00+05:30",
+              "2021-02-30 00:00:00", "2021-01-01 24:00:00", "2021-01-01 23:59:60",
+              "0000-01-01 00:00:00", "2021-01-01 05:00:0\u0665",
+              "2021\u201001\u201001 05:00:00",
+              "2021-01-01 05:00+01", "2021-01-01 05:00Z00"]
+ODD_VALUES = ["", "NA", "nan", "inf", "1e999", " 1.5 "]
+
+
+@pytest.mark.parametrize("stamp, value", [(s, "0.5") for s in ODD_STAMPS]
+                         + [("2021-01-01 05:00:00", v) for v in ODD_VALUES])
+def test_odd_cells_load_as_row_by_row(tmp_path, stamp, value):
+    # the odd cell sits on row 6, in the third record
+    stamps = ["2021-01-01 00:00:00", "2021-01-01 01:00:00", stamp, "2021-01-01 03:00:00"]
+    values = ["0.25", "-1", value, "7"]
+    if stamp in ODD_STAMPS:
+        assert data._plain_stamps(stamps) is None
+    elif value != " 1.5 ":  # float() strips the spaces in either path
+        assert data._finite_values(values) is None
+    path = tmp_path / "odd.csv"
+    _write_rows(path, stamps, values)
+    as_run, row_by_row = _load_both_ways(path)
+    assert as_run == row_by_row
+    assert not isinstance(as_run, str) or as_run.startswith("row 6: ")
+
+
+@SETTINGS
+@given(n=st.integers(0, 40), l_h=st.integers(1, 8), l_f=st.integers(1, 8),
+       c=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_windows_match_hand_built_windows(n, l_h, l_f, c, seed):
+    rng = np.random.default_rng(seed)
+    values, feats = rng.normal(size=n), rng.uniform(-0.5, 0.5, (n, c))
+    windows = windows_of(values, l_h, l_f, feats if c else None)
+    assert len(windows) == max(0, n - l_h - l_f + 1)
+    for i, window in enumerate(windows):
+        want = SeriesWindow(x_1d=values[i:i + l_h], tf_enc=feats[i:i + l_h],
+                            y_true=values[i + l_h:i + l_h + l_f])
+        for field in ("x_1d", "tf_enc", "y_true"):
+            got, ref = getattr(window, field), getattr(want, field)
+            assert (got.dtype, got.shape, got.flags.writeable) == (
+                ref.dtype, ref.shape, ref.flags.writeable)
+            assert got.size == 0 or got.strides == ref.strides
+            assert got.tobytes() == ref.tobytes()
+        assert np.shares_memory(window.x_1d, values)
+        assert np.shares_memory(window.y_true, values)
+        assert c == 0 or np.shares_memory(window.tf_enc, feats)
