@@ -213,15 +213,17 @@ def cell_kind(params: ParamSet) -> str:
 
 
 def new_cell(kind: str, length: int, in_channels: int, hidden: int,
-             rng: np.random.Generator) -> ParamSet:
-    """Fresh weights of a ``kind`` cell for length-``length`` sequences.
+             rng: np.random.Generator | None = None) -> ParamSet:
+    """Fresh weights of a ``kind`` cell for length-``length`` sequences;
+    with no ``rng``, the sized cell without weights (its shapes only).
 
     Only the gated cell's weights depend on the length; each class takes
     the sizes it declares as fields.
     """
     cls = CELLS[kind].params
     sizes = {"seq_len": length, "in_channels": in_channels, "hidden": hidden}
-    return cls.init(*(sizes[f.name] for f in fields(cls) if f.name in sizes), rng)
+    sizes = [sizes[f.name] for f in fields(cls) if f.name in sizes]
+    return cls(*sizes) if rng is None else cls.init(*sizes, rng)
 
 
 def sequence_graph_depth(params: ParamSet, length: int) -> int:

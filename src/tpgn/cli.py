@@ -3,14 +3,16 @@
 ``tpgn train`` settings come from one table: the fields of
 :class:`training.TrainConfig` (``l_h``, ``l_f`` and ``d_m`` spelled ``lh``,
 ``lf`` and ``dm``) plus the run-only settings; a setting parses as the
-type of its default (:func:`training.parse_setting`).  They resolve in
-precedence order: those defaults, then the --config file (flat
-``key=value`` lines; ``#`` at the start of a line or after whitespace
-starts a comment), then explicit command-line flags.  The
-calendar-channel count is read off the data, and ``tpgn eval`` takes the
-target, scaling and timestamp column from the checkpoint echo unless a
-flag overrides them.  ``tpgn bench`` defaults are
-:class:`bench.BenchScenario`'s.
+type of its default (:func:`training.parse_setting`), and each flag
+(``--`` + key, ``_`` written as ``-``) is generated from the table.  They
+resolve as defaults < a middle layer < command-line flags, with one set
+of checks.  For ``tpgn train`` the middle layer is the --config file
+(flat ``key=value`` lines; ``#`` at the start of a line or after
+whitespace starts a comment); for ``tpgn eval`` it is the checkpoint
+echo's target, scaling and timestamp column.  The calendar-channel count
+is read off the data.  ``tpgn bench`` and ``tpgn synth`` take their
+defaults from :class:`bench.BenchScenario` and
+:func:`data.synthetic_sinusoid`.
 Every run writes its resolved manifest before any computation, and output
 files are versioned (name.1.csv, name.2.csv, ...) rather than overwritten.
 
@@ -20,6 +22,7 @@ divergence.  Library log records (``tpgn.*``, INFO and up) go to stderr.
 
 import argparse
 import hashlib
+import inspect
 import logging
 import re
 import sys
@@ -31,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as data_mod
 from . import training
-from .bench import BenchScenario, sweep, versioned_path
+from .bench import MODEL_KINDS, BenchScenario, sweep, versioned_path
 from .errors import ConfigError, DataError, DivergenceError, TpgnError
 from .model import (VARIANTS, TpgnParams, finite_diff_all_params)
 
@@ -53,6 +56,20 @@ _TRAIN_DEFAULTS = {
 }
 # the type each setting parses as: its default's, str when that is None
 _TRAIN_KINDS = {key: str if d is None else type(d) for key, d in _TRAIN_DEFAULTS.items()}
+# the settings that take one of a few values, checked at every layer
+_CHOICES = {"norm": (0, 1), "scale": (0, 1), "head_shared": (0, 1),
+            "variant": tuple(sorted(VARIANTS))}
+# each setting's flag help, in the order `tpgn train --help` lists them
+_HELP = {
+    "data": "dataset CSV path", "target": "value column to forecast",
+    "timestamp_column": "datetime column", "lh": "history length", "lf": "horizon length",
+    "period": "period length", "dm": "hidden size", "norm": "per-window normalization",
+    "scale": "z-score the series by train-split statistics",
+    "head_shared": "share forecast-head weights across phase columns",
+    "variant": "model variant", "seed": "run seed", "out": "output directory",
+    "noise_eps": "fraction of training history points to perturb", "lr": "learning rate",
+    "batch_size": "batch size", "max_epochs": "epoch limit",
+    "patience": "epochs without improvement before stopping"}
 
 
 # a comment starts at "#" only at the start of a line or after whitespace,
@@ -77,24 +94,21 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags, with typed validation."""
+def _resolve(args: argparse.Namespace, layer: dict[str, str], source: str) -> dict:
+    """defaults < ``layer`` (a config file or a checkpoint echo, named
+    ``source``) < command-line flags, with typed validation."""
     resolved = dict(_TRAIN_DEFAULTS)
-    if args.config:
-        settings = _read_config_file(args.config)
-        for key in settings:
-            if key not in resolved:
-                raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = training.parse_setting(settings, key, _TRAIN_KINDS[key],
-                                                   f"config file {args.config}")
+    for key in layer:
+        if key not in resolved:
+            raise ConfigError(f"unknown config key {key!r}")
+        resolved[key] = training.parse_setting(layer, key, _TRAIN_KINDS[key], source)
     for key in resolved:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    if resolved["scale"] not in (0, 1):
-        raise ConfigError(f"scale must be 0 or 1, got {resolved['scale']}")
-    if resolved["head_shared"] not in (0, 1):
-        raise ConfigError(f"head_shared must be 0 or 1, got {resolved['head_shared']}")
+    for key, choices in _CHOICES.items():
+        if resolved[key] not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {resolved[key]!r}")
     if not 0.0 <= resolved["noise_eps"] <= 1.0:
         raise ConfigError(f"noise_eps must be in [0, 1], got {resolved['noise_eps']}")
     return resolved
@@ -110,8 +124,8 @@ def _write_manifest(out_dir: Path, settings: dict) -> tuple[Path, str]:
     return path, digest
 
 
-def _load_windows(res: dict):
-    """The run's series and its (train, validation, test) windows."""
+def _load_series(res: dict) -> data_mod.RawSeries:
+    """The run's hourly series, z-scored when ``scale`` is on."""
     if not res["data"]:
         raise ConfigError("--data (or a config-file `data` entry) is required")
     if not res["target"]:
@@ -122,8 +136,7 @@ def _load_windows(res: dict):
         # benchmark convention: z-score everything by train-split statistics
         # and report losses/metrics in those units
         series, _, _ = data_mod.standardize_series(series)
-    spec = data_mod.SplitSpec(l_h=res["lh"], l_f=res["lf"])
-    return series, data_mod.split_and_window(series, spec)
+    return series
 
 
 def _write_metrics(out_dir: Path, metrics: dict[str, float]) -> Path:
@@ -143,15 +156,18 @@ def _write_predictions(out_dir: Path, stamps, truth, preds) -> Path:
 
 
 def cmd_train(args) -> int:
-    res = _resolve(args)
-    # TrainConfig validates norm, variant and the sizes before any file is written
+    res = _resolve(args, _read_config_file(args.config) if args.config else {},
+                   f"config file {args.config}")
+    # _resolve checks the choices, TrainConfig the sizes, before any file is written
     cfg = training.TrainConfig(**{f.name: res[key] for key, f in _CONFIG_FIELDS.items()})
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path, config_hash = _write_manifest(out_dir, res)
     print(f"manifest: {manifest_path} (hash {config_hash[:12]})")
 
-    series, (train_w, val_w, test_w) = _load_windows(res)
+    series = _load_series(res)
+    train_w, val_w, test_w = data_mod.split_and_window(
+        series, data_mod.SplitSpec(l_h=cfg.l_h, l_f=cfg.l_f))
     train_w = data_mod.apply_noise(train_w, res["noise_eps"], res["seed"])
     params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, train_w[0].c_time, cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
@@ -196,19 +212,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = training.Checkpoint.load(args.checkpoint)
     params, cfg = training.params_from_checkpoint(ckpt)  # rejects a bad echo up front
-    res = dict(_TRAIN_DEFAULTS)
     # the run-only settings that locate the data; echoes that predate
     # timestamp_column fall back to its default
-    res.update({k: training.parse_setting(ckpt.config, k, _TRAIN_KINDS[k],
-                                          "checkpoint config")
-                for k in ("target", "scale", "timestamp_column") if k in ckpt.config})
-    for key in ("data", "target", "timestamp_column", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            res[key] = flag
-    # window geometry always comes from the checkpoint echo
-    res["lh"], res["lf"] = cfg.l_h, cfg.l_f
-    _, (_, _, test_w) = _load_windows(res)
+    echo = {k: ckpt.config[k] for k in ("target", "scale", "timestamp_column")
+            if k in ckpt.config}
+    res = _resolve(args, echo, "checkpoint config")
+    # window geometry always comes from the checkpoint echo; only the test
+    # split is cut
+    test_w = data_mod.window_split(_load_series(res),
+                                   data_mod.SplitSpec(l_h=cfg.l_h, l_f=cfg.l_f), "test")
     metrics, _ = training.score_windows(params, test_w, cfg.model_config())
     out_dir = Path(res["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,10 +388,14 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if worst < tol else 1
 
 
+# `tpgn synth` flag -> the synthetic_sinusoid parameter whose default it takes
+_SYNTH_FLAGS = {"period": "period", "amplitude": "amplitude", "mean": "mean",
+                "drift": "phase_drift", "noise": "noise", "seed": "seed"}
+
+
 def cmd_synth(args) -> int:
     series = data_mod.synthetic_sinusoid(
-        args.hours, period=args.period, amplitude=args.amplitude, mean=args.mean,
-        phase_drift=args.drift, noise=args.noise, seed=args.seed)
+        args.hours, **{name: getattr(args, flag) for flag, name in _SYNTH_FLAGS.items()})
     path = versioned_path(Path(args.out))
     path.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_csv(series, path)
@@ -387,31 +403,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    d = _TRAIN_DEFAULTS
-    p.add_argument("--config", help="key=value settings file")
-    p.add_argument("--data", help="dataset CSV path")
-    p.add_argument("--target", help="value column to forecast")
-    p.add_argument("--timestamp-column", dest="timestamp_column")
-    p.add_argument("--lh", type=int, help=f"history length (default {d['lh']})")
-    p.add_argument("--lf", type=int, help=f"horizon length (default {d['lf']})")
-    p.add_argument("--period", type=int, help=f"period length (default {d['period']})")
-    p.add_argument("--dm", type=int, help=f"hidden size (default {d['dm']})")
-    p.add_argument("--norm", type=int, choices=(0, 1), help="per-window normalization")
-    p.add_argument("--scale", type=int, choices=(0, 1),
-                   help=f"z-score the series by train-split statistics (default {d['scale']})")
-    p.add_argument("--head-shared", dest="head_shared", type=int, choices=(0, 1),
-                   help="share forecast-head weights across phase columns "
-                        f"(default {d['head_shared']})")
-    p.add_argument("--variant", choices=sorted(VARIANTS), help="model variant")
-    p.add_argument("--seed", type=int, help=f"run seed (default {d['seed']})")
-    p.add_argument("--out", help=f"output directory (default {d['out']})")
-    p.add_argument("--noise-eps", dest="noise_eps", type=float,
-                   help="fraction of training history points to perturb")
-    p.add_argument("--lr", type=float, help=f"learning rate (default {d['lr']})")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
+def _add_setting_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
+    """One flag per setting in ``keys``, in :data:`_HELP` order.  No flag
+    has a default of its own: an unset flag leaves the lower layers' value."""
+    for key in sorted(keys, key=list(_HELP).index):
+        default = _TRAIN_DEFAULTS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=_TRAIN_KINDS[key],
+                       choices=_CHOICES.get(key), required=key in required,
+                       help=_HELP[key] + ("" if default is None else f" (default {default})"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,19 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train on a CSV dataset")
-    _add_train_flags(p_train)
+    p_train.add_argument("--config", help="key=value settings file")
+    _add_setting_flags(p_train, _TRAIN_DEFAULTS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on the test split")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--target")
-    p_eval.add_argument("--timestamp-column", dest="timestamp_column")
-    p_eval.add_argument("--out")
+    _add_setting_flags(p_eval, ("data", "target", "timestamp_column", "out"),
+                       required=("data",))
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="efficiency sweeps on synthetic data")
-    p_bench.add_argument("--models", default="TPGN,PGN-raw,GRU-seq,LSTM-seq")
+    p_bench.add_argument("--models", default=",".join(MODEL_KINDS))
     p_bench.add_argument("--out", default="tpgn-out")
     scenario = {f.name: f.default for f in fields(BenchScenario)}
     p_bench.add_argument("--dm", type=int, default=scenario["d_m"])
@@ -449,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--period", type=int, default=4)
     p_grad.add_argument("--dm", type=int, default=2)
     p_grad.add_argument("--c-time", dest="c_time", type=int, default=1)
-    p_grad.add_argument("--norm", type=int, choices=(0, 1), default=1)
-    p_grad.add_argument("--variant", choices=sorted(VARIANTS), default="full")
+    p_grad.add_argument("--norm", type=int, choices=_CHOICES["norm"], default=1)
+    p_grad.add_argument("--variant", choices=_CHOICES["variant"], default="full")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--out", default="tpgn-out")
     p_grad.set_defaults(func=cmd_gradcheck)
@@ -458,13 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate the sinusoid benchmark CSV")
     p_synth.add_argument("--out", default="synth.csv")
     p_synth.add_argument("--hours", type=int, default=2200)
-    p_synth.add_argument("--period", type=float, default=24.0)
-    p_synth.add_argument("--amplitude", type=float, default=1.0)
-    p_synth.add_argument("--mean", type=float, default=0.0)
-    p_synth.add_argument("--drift", type=float, default=0.0,
-                         help="phase drift in radians per hour")
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    signature = inspect.signature(data_mod.synthetic_sinusoid).parameters
+    for flag, name in _SYNTH_FLAGS.items():
+        default = signature[name].default
+        p_synth.add_argument(f"--{flag}", type=type(default), default=default)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

@@ -32,6 +32,7 @@ __all__ = [
     "standardize_series",
     "split_points",
     "windows_of",
+    "window_split",
     "split_and_window",
     "make_time_features",
     "apply_noise",
@@ -321,6 +322,24 @@ def windows_of(values, l_h: int, l_f: int, feats=None) -> list[SeriesWindow]:
     return windows
 
 
+def window_split(series: RawSeries, spec: SplitSpec, split: str) -> list[SeriesWindow]:
+    """The stride-1 windows of one part of the 60/20/20 partition
+    (``"train"``, ``"validation"`` or ``"test"``), with calendar features
+    from that part's own stamps.  A part shorter than one window raises
+    ConfigError naming it."""
+    n = len(series)
+    n_train, n_val, _ = split_points(n)
+    lo, hi = {"train": (0, n_train), "validation": (n_train, n_train + n_val),
+              "test": (n_train + n_val, n)}[split]
+    need = spec.l_h + spec.l_f
+    if hi - lo < need:
+        raise ConfigError(
+            f"{split} split has {hi - lo} points, needs at least {need} "
+            f"for l_h={spec.l_h}, l_f={spec.l_f}")
+    return windows_of(series.values[lo:hi], spec.l_h, spec.l_f,
+                      make_time_features(series.timestamps[lo:hi]))
+
+
 def split_and_window(series: RawSeries, spec: SplitSpec,
                      ) -> tuple[list[SeriesWindow], list[SeriesWindow], list[SeriesWindow]]:
     """Contiguous 60/20/20 partition, then stride-1 windows inside each part.
@@ -328,20 +347,8 @@ def split_and_window(series: RawSeries, spec: SplitSpec,
     Windows never straddle a boundary, so every test timestamp is strictly
     after every train timestamp.
     """
-    n = len(series)
-    n_train, n_val, _ = split_points(n)
-    bounds = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, n)]
-    need = spec.l_h + spec.l_f
-    feats = make_time_features(series.timestamps)
-    splits = []
-    for name, (lo, hi) in zip(("train", "validation", "test"), bounds):
-        if hi - lo < need:
-            raise ConfigError(
-                f"{name} split has {hi - lo} points, needs at least {need} "
-                f"for l_h={spec.l_h}, l_f={spec.l_f}")
-        splits.append(windows_of(series.values[lo:hi], spec.l_h, spec.l_f,
-                                 feats[lo:hi]))
-    return splits[0], splits[1], splits[2]
+    return tuple(window_split(series, spec, split)
+                 for split in ("train", "validation", "test"))
 
 
 def apply_noise(windows, epsilon: float, seed: int) -> list[SeriesWindow]:

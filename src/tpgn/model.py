@@ -194,21 +194,8 @@ class TpgnParams(ParamSet):
              rng: np.random.Generator, variant: TpgnVariant = VARIANTS["full"],
              head_shared: bool = True) -> "TpgnParams":
         """Draw the live weights in one order: head, cell, long, row, col."""
-        if period < 1:
-            raise ConfigError(f"period must be positive, got {period}")
-        if l_h % period:
-            raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
-        if l_f % period:
-            raise ConfigError(f"horizon length {l_f} is not a multiple of period {period}")
-        rows = l_h // period
-        if rows < 2:
-            raise ConfigError(
-                f"history must span at least 2 periods, got {rows} (l_h={l_h}, P={period})")
-        if c_time < 0 or hidden < 1:
-            raise ConfigError(f"need c_time >= 0 and hidden >= 1, got {c_time}, {hidden}")
-        channels = 1 + c_time
-        params = cls(rows, period, channels, hidden, l_f // period,
-                     head_shared=head_shared)
+        params = cls._sized(l_h, l_f, period, c_time, hidden, head_shared)
+        rows, channels = params.rows, params.channels
         head = params.shapes()["head_w"]
         params.head_w, params.head_b = fan_in_uniform(rng, *head), np.zeros(head[:-1])
         if variant.long_branch != "off":
@@ -221,7 +208,41 @@ class TpgnParams(ParamSet):
             params.col_w, params.col_b = fan_in_uniform(rng, rows), np.zeros(())
         return params
 
+    @classmethod
+    def layout(cls, l_h: int, l_f: int, period: int, c_time: int, hidden: int,
+               variant: TpgnVariant = VARIANTS["full"],
+               head_shared: bool = True) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every weight :meth:`init` draws at these sizes,
+        which are checked as init checks them; nothing is allocated."""
+        params = cls._sized(l_h, l_f, period, c_time, hidden, head_shared)
+        if variant.long_branch != "off":
+            params.cell = baselines.new_cell(variant.long_branch, params.rows,
+                                             params.channels, hidden)
+        return params._shapes(variant.short_branch)
+
+    @classmethod
+    def _sized(cls, l_h: int, l_f: int, period: int, c_time: int, hidden: int,
+               head_shared: bool) -> "TpgnParams":
+        """The checked structural sizes, with no weights yet."""
+        if period < 1:
+            raise ConfigError(f"period must be positive, got {period}")
+        if l_h % period:
+            raise ConfigError(f"history length {l_h} is not a multiple of period {period}")
+        if l_f % period:
+            raise ConfigError(f"horizon length {l_f} is not a multiple of period {period}")
+        rows = l_h // period
+        if rows < 2:
+            raise ConfigError(
+                f"history must span at least 2 periods, got {rows} (l_h={l_h}, P={period})")
+        if c_time < 0 or hidden < 1:
+            raise ConfigError(f"need c_time >= 0 and hidden >= 1, got {c_time}, {hidden}")
+        return cls(rows, period, 1 + c_time, hidden, l_f // period,
+                   head_shared=head_shared)
+
     def shapes(self) -> dict[str, tuple[int, ...]]:
+        return self._shapes(self.row_w is not None)
+
+    def _shapes(self, short_branch: bool) -> dict[str, tuple[int, ...]]:
         head = (self.horizon_rows, 2 * self.hidden)
         if not self.head_shared:
             head = (self.period, *head)
@@ -229,7 +250,7 @@ class TpgnParams(ParamSet):
         if self.cell is not None:
             out.update({f"cell.{k}": v for k, v in self.cell.shapes().items()})
             out.update(long_w=(self.rows,), long_b=())
-        if self.row_w is not None:
+        if short_branch:
             out.update(row_w=(self.hidden, self.period * self.channels),
                        row_b=(self.hidden,), col_w=(self.rows,), col_b=())
         return out

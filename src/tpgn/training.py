@@ -263,7 +263,9 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[TpgnParams, TrainConfig]:
     """Rebuild the model and its training config from a checkpoint echo.
 
     A missing or garbled echo entry, or tensors that do not fit the echoed
-    structure, raise ConfigError naming the culprit.
+    structure, raise ConfigError naming the culprit.  The echoed sizes are
+    checked against the stored shapes before any weight is drawn, so a
+    hostile echo never sizes an allocation.
     """
     echo, source = ckpt.config, "checkpoint config"
     cfg = TrainConfig(**{f.name: parse_setting(echo, f.name, type(f.default), source)
@@ -271,22 +273,24 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[TpgnParams, TrainConfig]:
     head_shared = parse_setting(echo, "head_shared", int, source)
     if head_shared not in (0, 1):
         raise ConfigError(f"checkpoint config head_shared must be 0 or 1, got {head_shared}")
-    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period,
-                             parse_setting(echo, "c_time", int, source), cfg.d_m,
-                             np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
-                             head_shared=bool(head_shared))
-    arrays = params.named_arrays()
-    if set(arrays) != set(ckpt.tensors):
+    c_time = parse_setting(echo, "c_time", int, source)
+    sizes = (cfg.l_h, cfg.l_f, cfg.period, c_time, cfg.d_m)
+    shapes = TpgnParams.layout(*sizes, VARIANTS[cfg.variant], bool(head_shared))
+    if set(shapes) != set(ckpt.tensors):
         raise ConfigError(
             f"checkpoint tensors do not match the model structure: missing "
-            f"{sorted(set(arrays) - set(ckpt.tensors))}, unexpected "
-            f"{sorted(set(ckpt.tensors) - set(arrays))}")
-    for name, arr in arrays.items():
-        stored = ckpt.tensors[name]
-        if stored.shape != arr.shape:
-            raise ConfigError(f"checkpoint tensor {name} has shape {stored.shape}, "
-                              f"model expects {arr.shape}")
-        arr[...] = stored
+            f"{sorted(set(shapes) - set(ckpt.tensors))}, unexpected "
+            f"{sorted(set(ckpt.tensors) - set(shapes))}")
+    for name, shape in shapes.items():
+        if ckpt.tensors[name].shape != shape:
+            raise ConfigError(
+                f"checkpoint tensor {name} has shape {ckpt.tensors[name].shape}, but "
+                f"the echoed l_h={cfg.l_h}, l_f={cfg.l_f}, period={cfg.period}, "
+                f"c_time={c_time}, d_m={cfg.d_m} give {shape}")
+    params = TpgnParams.init(*sizes, np.random.default_rng(cfg.seed),
+                             VARIANTS[cfg.variant], head_shared=bool(head_shared))
+    for name, arr in params.named_arrays().items():
+        arr[...] = ckpt.tensors[name]
     return params, cfg
 
 

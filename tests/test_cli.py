@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config resolution, exit codes."""
 
 import hashlib
+import inspect
 from dataclasses import fields
 from datetime import datetime, timedelta
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from tpgn import data as data_mod
-from tpgn.bench import BenchScenario
+from tpgn.bench import MODEL_KINDS, BenchScenario
 from tpgn.cli import build_parser, main
 from tpgn.model import tpgn_forward
 from tpgn.training import Checkpoint, TrainConfig, params_from_checkpoint
@@ -119,6 +120,33 @@ class TestTrain:
         assert code == 2
         assert "dm='4.5' is not a valid int" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["norm=7", "scale=2", "head_shared=2", "variant=big"])
+    def test_config_value_outside_its_choices_exits_2_before_any_file(
+            self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--data", "x.csv",
+                     "--target", "v", "--out", str(out)])
+        assert code == 2
+        assert f"{line.split('=')[0]} must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "is empty"),
+        ("date,value\n", "has no data rows"),
+        ("date,value\n2021-01-01 00:00:00,1.0\n2021-01-01 01:00:00\n",
+         "row 3: expected 2 fields, got 1"),
+    ], ids=["empty", "header-only", "short-row"])
+    def test_ingest_error_exits_3(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(tmp_path / "run"), *FAST])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -249,6 +277,36 @@ class TestEval:
                      "--timestamp-column", "date", "--out", str(out)]) == 3
         assert "has no column 'date'" in capsys.readouterr().err
 
+    def test_windows_only_the_test_split(self, tmp_path, monkeypatch):
+        data = run_synth(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(out), *FAST]) == 0
+        built, windows_of = [], data_mod.windows_of
+
+        def counted(*args, **kwargs):
+            windows = windows_of(*args, **kwargs)
+            built.append(len(windows))
+            return windows
+
+        monkeypatch.setattr(data_mod, "windows_of", counted)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.tpgn"),
+                     "--data", str(data), "--out", str(out)]) == 0
+        # 900 hours split 540:180:180; the test split holds 180 - 48 - 24 + 1
+        assert built == [109]
+        assert (out / "metrics.csv").read_text() == (out / "metrics.1.csv").read_text()
+
+    def test_short_test_split_exits_2_naming_it(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(out), *FAST]) == 0
+        short = run_synth(tmp_path, name="short.csv", hours=300)  # 180:60:60
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.tpgn"),
+                     "--data", str(short), "--out", str(out)]) == 2
+        assert "test split has 60 points, needs at least 72" in capsys.readouterr().err
+
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.tpgn"
         Checkpoint(tensors={"w": np.arange(4.0)}, config={"l_h": "48"},
@@ -281,6 +339,12 @@ class TestBadCheckpointEcho:
         (dict(head_shared="2"), "head_shared"),
         # the earlier layout: the gated cell's weights under "pgn."
         (dict(tensors=lambda k: k.replace("cell.", "pgn.")), "pgn.hie_w"),
+        # hostile sizes are checked against the stored shapes before any
+        # weight is drawn at them
+        (dict(d_m="1000000000000"), "d_m=1000000000000"),
+        (dict(l_h="2400000000000"), "l_h=2400000000000"),
+        # the run-only settings eval reads pass the same checks as train's
+        (dict(scale="2"), "scale must be one of"),
     ])
     def test_exits_2_naming_the_culprit(self, tmp_path, capsys, edit, named):
         data = run_synth(tmp_path)
@@ -353,6 +417,27 @@ class TestSettingsTable:
         assert manifest == (out / "manifest.1.txt").read_text()
         for line in cfg_lines:
             assert f"\n{line}\n" in f"\n{manifest}"
+
+    def test_eval_setting_flags_parse_as_train_ones(self):
+        parser = build_parser()
+        for key, value in (("data", "d.csv"), ("target", "OT"),
+                           ("timestamp_column", "ts"), ("out", "o")):
+            flag = "--" + key.replace("_", "-")
+            train = parser.parse_args(["train", flag, value])
+            evaluate = parser.parse_args(["eval", "--checkpoint", "c", "--data", "d.csv",
+                                          flag, value])
+            assert getattr(train, key) == getattr(evaluate, key) == value
+
+    def test_bench_models_and_synth_defaults_come_from_the_library(self):
+        parser = build_parser()
+        assert parser.parse_args(["bench"]).models.split(",") == list(MODEL_KINDS)
+        synth = parser.parse_args(["synth"])
+        signature = inspect.signature(data_mod.synthetic_sinusoid).parameters
+        for flag, name in (("period", "period"), ("amplitude", "amplitude"),
+                           ("mean", "mean"), ("drift", "phase_drift"),
+                           ("noise", "noise"), ("seed", "seed")):
+            default = signature[name].default
+            assert getattr(synth, flag) == default and type(getattr(synth, flag)) is type(default)
 
     def test_bench_defaults_are_the_scenario_defaults(self):
         args = build_parser().parse_args(["bench"])

@@ -7,7 +7,8 @@ import pytest
 
 from tpgn.data import (RawSeries, SplitSpec, aggregate_hourly,
                        apply_noise, load_csv, make_time_features,
-                       save_csv, split_and_window, synthetic_sinusoid, windows_of)
+                       save_csv, split_and_window, split_points, synthetic_sinusoid,
+                       window_split, windows_of)
 from tpgn.errors import ConfigError, DataError, DimensionError
 from tpgn.model import SeriesWindow
 
@@ -208,6 +209,28 @@ class TestSplitAndWindow:
         s = RawSeries(hourly(30), np.zeros(30), "v")
         with pytest.raises(ConfigError, match="split"):
             split_and_window(s, SplitSpec(l_h=8, l_f=4))
+
+    def test_one_split_equals_slicing_the_whole_series(self):
+        """A split's calendar features come from its own stamps, byte for
+        byte as from the whole series' features sliced."""
+        s = synthetic_sinusoid(500, start="2020-12-29 05:00:00")  # crosses a year
+        feats = make_time_features(s.timestamps)
+        n_train, n_val, _ = split_points(len(s))
+        bounds = {"train": (0, n_train), "validation": (n_train, n_train + n_val),
+                  "test": (n_train + n_val, len(s))}
+        for split, (lo, hi) in bounds.items():
+            got = window_split(s, SplitSpec(l_h=24, l_f=12), split)
+            want = windows_of(s.values[lo:hi], 24, 12, feats[lo:hi])
+            assert len(got) == len(want) == hi - lo - 35
+            for g, w in zip(got, want):
+                for field in ("x_1d", "tf_enc", "y_true"):
+                    assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+
+    def test_short_split_is_named(self):
+        s = RawSeries(hourly(100), np.zeros(100), "v")  # 60:20:20
+        assert len(window_split(s, SplitSpec(l_h=40, l_f=4), "train")) == 17
+        with pytest.raises(ConfigError, match="test split has 20 points"):
+            window_split(s, SplitSpec(l_h=40, l_f=4), "test")
 
     def test_features_attached(self):
         s = RawSeries(hourly(60), np.zeros(60), "v")

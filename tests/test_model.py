@@ -882,3 +882,21 @@ class TestPerPhaseHead:
         for i, w in enumerate(windows):
             single = tpgn_forward(w, params, cfg).data
             assert np.max(np.abs(batch[i] - single)) <= 1e-12
+
+
+class TestLayout:
+    @pytest.mark.parametrize("head_shared", [True, False])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_layout_is_what_init_draws(self, variant, head_shared):
+        params = TpgnParams.init(48, 16, 8, 4, 6, np.random.default_rng(0),
+                                 VARIANTS[variant], head_shared=head_shared)
+        assert TpgnParams.layout(48, 16, 8, 4, 6, VARIANTS[variant], head_shared) == {
+            name: arr.shape for name, arr in params.named_arrays().items()}
+
+    def test_layout_allocates_nothing(self):
+        shapes = TpgnParams.layout(24 * 10**11, 24, 24, 4, 10**12)
+        assert shapes["cell.hie_w"] == (10**12, (10**11 - 1) * 5)
+
+    def test_layout_checks_sizes_as_init_does(self):
+        with pytest.raises(ConfigError, match="not a multiple of period"):
+            TpgnParams.layout(50, 16, 8, 4, 6)
