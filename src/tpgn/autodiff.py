@@ -755,9 +755,10 @@ def gated_fusion(x, history, gate_w, gate_b, cand_w, cand_b,
     product is grouped as in the chain.  The forward writes the
     pre-activations into the gate's and the candidate's buffers and runs
     its element-wise work, which sums nothing across rows, in row blocks of
-    about 1 MiB.  The vjp's ``dz`` of the gate and of the candidate and the
-    joint input's gradient are full-size scratch, which the tape does not
-    count.
+    about 1 MiB.  The history is read back as a view of the joint input, so
+    the tape holds it once.  The vjp's ``dz`` of the gate and of the
+    candidate and the joint input's gradient are full-size scratch, which
+    the tape does not count.
     """
     x, history, gate_w, gate_b, cand_w, cand_b = (
         constant(t) for t in (x, history, gate_w, gate_b, cand_w, cand_b))
@@ -769,8 +770,9 @@ def gated_fusion(x, history, gate_w, gate_b, cand_w, cand_b,
             "gated_fusion expects x[n, c], history[n, d], weights [d, c+d] and "
             f"biases [d]; got {x.shape}, {history.shape}, {gate_w.shape}, "
             f"{gate_b.shape}, {cand_w.shape}, {cand_b.shape}")
-    gw, gb, cw, cb, hd = gate_w.data, gate_b.data, cand_w.data, cand_b.data, history.data
-    joint = np.concatenate([x.data, hd], axis=1)
+    gw, gb, cw, cb = gate_w.data, gate_b.data, cand_w.data, cand_b.data
+    joint = np.concatenate([x.data, history.data], axis=1)
+    hd = joint[:, c:]
     gate, cand, value = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
     np.matmul(joint, gw.T, out=gate)
     np.matmul(joint, cw.T, out=cand)

@@ -163,8 +163,7 @@ def recurrent_forward(x: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
         else:
             h, cell = lstm_step(x_t, (h, cell), w)
         states.append(h)
-    by_step = ad.reshape(ad.concat(states, axis=0), (length, m, d))
-    return ad.reshape(ad.permute(by_step, (1, 0, 2)), (m * length, d))
+    return ad.reshape(ad.concat(states, axis=1), (m * length, d))
 
 
 # ---------------------------------------------------------------------------

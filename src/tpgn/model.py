@@ -44,7 +44,8 @@ norm=1 grids have none), gathers each distinct column from the grid and
 runs it once, in cache-sized blocks (:func:`autodiff.sequence_blocks`),
 and maps cache-sized blocks of windows through the head without building
 the [B*P, 2d] joint array.  No GEMM crosses OpenBLAS's small-matrix limit
-and no GEMV is split, so the result is byte-equal to the tracked pass.
+and no GEMV is split, so at the widths ``TestWideModels`` pins the result is
+byte-equal to the tracked pass; at d_m=300 it is not (README, reproducibility).
 """
 
 from __future__ import annotations

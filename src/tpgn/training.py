@@ -13,6 +13,7 @@ settings file, as a typed value.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -153,7 +154,7 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class Checkpoint:
-    """Named tensors plus a config echo; round-trips bitwise through disk."""
+    """Named tensors, a config echo and a sha256 line; round-trips bitwise."""
 
     tensors: dict[str, np.ndarray]
     config: dict[str, str]
@@ -167,31 +168,28 @@ class Checkpoint:
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "wb") as fh:
-                self._write(fh)
+            tmp.write_bytes(self._encode())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _write(self, fh) -> None:
-        fh.write(CHECKPOINT_MAGIC)
+    def _encode(self) -> bytes:
+        parts = [CHECKPOINT_MAGIC]
         for name in sorted(self.tensors):
             # asarray keeps rank-0 arrays rank-0 (ascontiguousarray does not)
             arr = np.asarray(self.tensors[name], dtype="<f8", order="C")
             encoded = name.encode("utf-8")
-            fh.write(len(encoded).to_bytes(8, "little"))
-            fh.write(encoded)
-            fh.write(arr.ndim.to_bytes(8, "little"))
-            for dim in arr.shape:
-                fh.write(int(dim).to_bytes(8, "little"))
-            fh.write(arr.tobytes())
-        fh.write((0).to_bytes(8, "little"))  # name_len = 0 ends the tensor list
-        lines = [f"{k}={v}" for k, v in sorted(self.config.items())]
-        lines.append(f"best_val_loss={self.best_val_loss!r}")
-        lines.append(f"epoch={self.epoch}")
-        # the final newline marks a complete file: truncation is detectable
-        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+            parts += [len(encoded).to_bytes(8, "little"), encoded,
+                      *(n.to_bytes(8, "little") for n in (arr.ndim, *arr.shape)),
+                      arr.tobytes()]
+        parts.append((0).to_bytes(8, "little"))  # name_len = 0 ends the tensor list
+        lines = [*(f"{k}={v}" for k, v in sorted(self.config.items())),
+                 f"best_val_loss={self.best_val_loss!r}", f"epoch={self.epoch}"]
+        body = b"".join(parts) + "".join(f"{line}\n" for line in lines).encode("utf-8")
+        # the last line hashes every byte before it; its newline marks a
+        # complete file, so truncation is detectable
+        return body + f"sha256={hashlib.sha256(body).hexdigest()}\n".encode("ascii")
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -234,11 +232,10 @@ class Checkpoint:
             raise ConfigError(f"{path} is corrupt: {exc}") from None
         if not text.endswith("\n"):
             raise ConfigError(f"{path} is truncated: its config trailer is incomplete")
-        config: dict[str, str] = {}
-        for line in text.splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                config[key] = value
+        config = dict(line.partition("=")[::2] for line in text.splitlines() if line)
+        body = raw[:raw.rfind(b"\n", 0, len(raw) - 1) + 1]
+        if config.pop("sha256", None) != hashlib.sha256(body).hexdigest():
+            raise ConfigError(f"{path} is corrupt: its sha256 line does not match")
         try:
             best = float(config.pop("best_val_loss"))
             epoch = int(config.pop("epoch"))

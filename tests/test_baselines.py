@@ -243,3 +243,32 @@ class TestGradientFlow:
     def test_recurrences_vanish_by_lag_100(self, kind, seed):
         grad = self.lag_gradient(kind, seed)
         assert grad[100] <= 1e-12 * grad[1]
+
+
+class TestHeldOnce:
+    """The tape's own accounting shows each full-size activation held once."""
+
+    M, L, C, D = 4, 64, 2, 16
+
+    def tracked_apply(self, kind):
+        rng = np.random.default_rng(17)
+        graph = ad.Graph()
+        x = graph.leaf(rng.uniform(-1, 1, (self.M, self.L, self.C)), op="input")
+        weights = new_cell(kind, self.L, self.C, self.D, rng).leaf_into(graph)
+        states = CELLS[kind].apply(x, weights)
+        assert states.shape == (self.M * self.L, self.D)
+        return graph, x, weights, states
+
+    def test_gated_cell_keeps_no_separate_history(self):
+        graph, x, weights, _ = self.tracked_apply("pgn")
+        rows, c, d = self.M * self.L, self.C, self.D
+        # the joint input [rows, c+d] carries the history; then the gate,
+        # the candidate and the output [rows, d], the weights and the input
+        bound = 8 * (rows * (c + d) + 3 * rows * d)
+        bound += x.data.nbytes + sum(w.data.nbytes for w in weights.values())
+        assert graph.live_bytes <= bound
+
+    def test_recurrence_writes_its_states_once(self):
+        graph, *_ = self.tracked_apply("gru")
+        one_copy = 8 * self.M * self.L * self.D
+        assert graph.peak_bytes - graph.live_bytes < one_copy

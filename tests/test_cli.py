@@ -317,6 +317,18 @@ class TestEval:
         assert code == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_corrupt_well_formed_checkpoint_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(4.0)}, config={"l_h": "48"},
+                   best_val_loss=0.5, epoch=12).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[5 + 8 + 1 + 8 + 8 + 3] ^= 0x01  # a byte of the first value of w
+        path.write_bytes(bytes(raw))
+        code = main(["eval", "--checkpoint", str(path), "--data", "x.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sha256" in capsys.readouterr().err
+
 
 def _rewrite_checkpoint(path, tensors=None, drop=(), **echo):
     """Load, edit and save a checkpoint: rename tensors, drop or set echo keys."""

@@ -1,5 +1,6 @@
 """Two-branch forecaster: grid layout, branches, head mapping, costs."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from tpgn import autodiff as ad
 from tpgn import baselines
-from tpgn.data import windows_of
+from tpgn.data import make_time_features, synthetic_sinusoid, windows_of
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
                         TpgnConfig, TpgnParams, _distinct_summaries, _forward_core,
@@ -900,3 +901,73 @@ class TestLayout:
     def test_layout_checks_sizes_as_init_does(self):
         with pytest.raises(ConfigError, match="not a multiple of period"):
             TpgnParams.layout(50, 16, 8, 4, 6)
+
+
+def golden_step_hashes(variant):
+    """sha256 of the loss and of every gradient of one training step at a
+    small long-history shape: 240->48, P=24, d_m=16, 8 consecutive windows."""
+    l_h, l_f, period, n = 240, 48, 24, 8
+    series = synthetic_sinusoid(l_h + l_f + n - 1, noise=0.05, seed=25)
+    windows = windows_of(series.values, l_h, l_f,
+                         make_time_features(series.timestamps))
+    params = TpgnParams.init(l_h, l_f, period, 4, 16, np.random.default_rng(25),
+                             VARIANTS[variant])
+    g = ad.Graph()
+    leaves = params.leaf_into(g)
+    cfg = TpgnConfig(norm=0, period=period, variant=VARIANTS[variant])
+    preds = tpgn_forward_batch(windows, params, cfg, weights=leaves)
+    diff = ad.sub(preds, ad.constant(stack_targets(windows)))
+    loss = ad.reduce_mean(ad.mul(diff, diff))
+    grads = ad.backward(loss)
+    arrays = {"loss": loss.data, **{k: grads[leaf] for k, leaf in leaves.items()}}
+    return {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+            for k, v in arrays.items()}
+
+
+class TestGoldenStep:
+    """The loss and the gradients of one ``full`` and one ``gru`` step, pinned
+    bit for bit, so that a memory or speed change to the cells, the tape or
+    the recurrence shows if it moves a single bit (numpy 2.4.6, OpenBLAS
+    0.3.31, as in CI)."""
+
+    GOLDEN = {
+        "full": {
+            "loss": "72bf2beca82d3376e5c5568cf6aefb857deb7206031729c8483e765a614ddb39",
+            "head_w": "c728e728dc32cd6d8de3ee8b6f9b48229a075356ffc57cd625bf738724181c3f",
+            "head_b": "12b9894c7ebe2be1ad674116dd864b66320bf70a9658b2a5030899bed30f8fc1",
+            "cell.hie_w": "fb8c4dcf57200264a63e5ab027493130b9bc8945d2d983431b37d9651ccbaf17",
+            "cell.hie_b": "17ad834a2a74b4aa41f02f2df86d62fe12d8a7a97c27a400915ece5d6396e60e",
+            "cell.gate_w": "454f15749363a45a774190f0b9e5da97b0c24865e5b1f2c759cd5cb985537ff5",
+            "cell.gate_b": "f4db54ced642e2bf781676218e6d7700545c713a575dc6dc6d1e92fd52b48ab1",
+            "cell.cand_w": "9cb6728c0d2f7c2d385e5a60d94ea97e78881c16de3533bf2d5c4f46ab59a5af",
+            "cell.cand_b": "135b6388732256ccd441a5e2d9f06422b8207cabc6b7fe16ef5df276adcd7865",
+            "long_w": "a4ca3cc3ebb3b6e14e7e0230818ff25fcf3231814aa699ea58cd7a4c968211d7",
+            "long_b": "48d385f251987f7173eb37f85d912d5bae49e9abe4f6ea294f961bd86b038b8e",
+            "row_w": "5367fcc55cc1df57199f6a958586b668eaf9c436cf05af4a9b6f38b56f23e726",
+            "row_b": "1fc4db434e84ebf4a913cc4ef2251b3e19c2497a124900a1296d8ce82b6a8b70",
+            "col_w": "4aa9b978b538cfcaa0d639f868a2d7785901509aad0b0e62183dfe511cc820e0",
+            "col_b": "ac911cf99d1cd94c7b6d9f718a2621d7a6b850d1136e4dd75baac53b74b8ae7d",
+        },
+        "gru": {
+            "loss": "56e1a54ca23da0f1d478471d038725fada012dc505f57452d5b0998af123affe",
+            "head_w": "a0196cee2d14add33cf8e2680fd89c0ae1026660fb6208dad395d5bbf294074d",
+            "head_b": "ba3e99cbc4f366c567499f5d839461f164a418644804a6371c82000186208114",
+            "cell.update_w": "d1cbd9210cd808ca290cface3ba593cc4268108371664112f01d9bcea29843fd",
+            "cell.update_b": "2ef314145f330606b0548bad85b3c5643a5a7b40f33a8e9b81b16eabd8108dfc",
+            "cell.reset_w": "bfb370579917d131947dec06fb82ef2e163e305849b7494fc8fa38d0c4f6fc3a",
+            "cell.reset_b": "a299716b892092ec06a0b9ef4752e83615079ec97b63300ac8261d1a1dbb8722",
+            "cell.cand_xw": "2e1279cc890dd9362a96a7a27a7e73c9e9d7dca9629b6439d97eb10da4707b73",
+            "cell.cand_hw": "99838f6fa091c5ee29fe826b5cae8dd5cb92f51a089e31183ec1a8a482494c2f",
+            "cell.cand_b": "828fa18e7cc07a9c2b710252c93b2093fe9e1a7b78504e720c0655f255379873",
+            "long_w": "5ed532b6b82f6794fa3ca3cbdb57013dae634a01c7462e484a5480ec96396555",
+            "long_b": "760e77cd2ad3e48f47cc67bc9343669a53c5066fbb2f45ae4e8506c8eb451a09",
+            "row_w": "8cb28f6bfe8d3d667d3a69d9435266639c971b19f67f9accb1a47af794d01ca3",
+            "row_b": "8a4182678c29fa3d1bfc7f066301b9dcd38e0c7f7bcbceee826c910b4373935d",
+            "col_w": "a7ea1c094b868037463e5de261c15add260d7984043829786fa1cb904758a932",
+            "col_b": "15ac012d573a151d599aba55e7fc574b10d34f8462f4ffaabf69bd1c261dac97",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", ["full", "gru"])
+    def test_step_bytes(self, variant):
+        assert golden_step_hashes(variant) == self.GOLDEN[variant]

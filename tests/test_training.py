@@ -1,5 +1,6 @@
 """Metrics, Adam, the fit loop, early stopping and checkpoints."""
 
+import hashlib
 import platform
 from dataclasses import replace
 
@@ -337,6 +338,33 @@ class TestCheckpoint:
             cut.write_bytes(raw[:size])
             with pytest.raises(ConfigError):
                 Checkpoint.load(cut)
+
+    @pytest.mark.parametrize("flip", [
+        lambda raw: 5 + 8 + 1 + 8 + 8 + 8 + 3,                # a byte of w's 2nd value
+        lambda raw: raw.index(b"epoch=12") + len("epoch=1"),  # the echo's "2"
+    ], ids=["tensor_byte", "echo_digit"])
+    def test_flipped_byte_fails_the_digest(self, tmp_path, flip):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(3.0)}, config={"l_h": "48"},
+                   best_val_loss=0.5, epoch=12).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[flip(raw)] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="sha256"):
+            Checkpoint.load(path)
+
+    def test_digest_line_required_and_popped(self, tmp_path):
+        path = tmp_path / "model.tpgn"
+        Checkpoint(tensors={"w": np.arange(3.0)}, config={"l_h": "48"},
+                   best_val_loss=0.5, epoch=12).save(path)
+        raw = path.read_bytes()
+        cut = raw.rindex(b"\n", 0, -1) + 1
+        body, trailer = raw[:cut], raw[cut:]
+        assert trailer == f"sha256={hashlib.sha256(body).hexdigest()}\n".encode()
+        assert "sha256" not in Checkpoint.load(path).config
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="sha256"):
+            Checkpoint.load(path)
 
     @pytest.mark.parametrize("offset,value", [
         (5, 2**62),                   # name length
