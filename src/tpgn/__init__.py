@@ -20,7 +20,7 @@ from .pgn import PgnOutput, PgnParams, pgn_apply, pgn_forward, pgn_forward_oracl
 from .baselines import (CELLS, GruParams, LstmParams, MlpParams, recurrent_forward,
                         sequence_graph_depth)
 from .model import (VARIANTS, FlopCount, NormStats, SeriesWindow, TpgnConfig,
-                    TpgnParams, TpgnVariant, flop_count, forecast_head,
+                    TpgnParams, TpgnVariant, WindowSet, flop_count, forecast_head,
                     long_branch, param_count, prepare_input, short_branch,
                     tpgn_forward, tpgn_forward_batch)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines
 from .errors import ConfigError, ContractError
-from .model import (SeriesWindow, TpgnConfig, TpgnParams, flop_count,
+from .model import (SeriesWindow, TpgnConfig, TpgnParams, as_window_set, flop_count,
                     stack_targets, tpgn_forward_batch, tpgn_graph_depth)
 
 __all__ = [
@@ -87,10 +87,10 @@ def _tpgn_setup(s: BenchScenario):
     rng = np.random.default_rng(s.seed)
     params = TpgnParams.init(s.l_h, s.l_f, s.period, 4, s.d_m, rng)
     cfg = TpgnConfig(norm=0, period=s.period)
-    windows = [SeriesWindow(x_1d=rng.uniform(-1, 1, s.l_h),
-                            tf_enc=rng.uniform(-0.5, 0.5, (s.l_h, 4)),
-                            y_true=rng.uniform(-1, 1, s.l_f))
-               for _ in range(s.batch)]
+    windows = as_window_set([SeriesWindow(x_1d=rng.uniform(-1, 1, s.l_h),
+                                          tf_enc=rng.uniform(-0.5, 0.5, (s.l_h, 4)),
+                                          y_true=rng.uniform(-1, 1, s.l_f))
+                             for _ in range(s.batch)])
     targets = stack_targets(windows)
 
     def forward(graph):

@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
     train_w, val_w, test_w = data_mod.split_and_window(
         series, data_mod.SplitSpec(l_h=cfg.l_h, l_f=cfg.l_f))
     train_w = data_mod.apply_noise(train_w, res["noise_eps"], res["seed"])
-    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, train_w[0].c_time, cfg.d_m,
+    params = TpgnParams.init(cfg.l_h, cfg.l_f, cfg.period, train_w.c_time, cfg.d_m,
                              np.random.default_rng(cfg.seed), VARIANTS[cfg.variant],
                              head_shared=bool(res["head_shared"]))
     extra = {"noise_eps": str(res["noise_eps"]), "target": str(res["target"]),

@@ -2,9 +2,11 @@
 
 CSV in (one datetime column plus named value columns), hourly-aggregated
 series out, cut 6:2:2 in time order into train/validation/test, then
-swept into stride-1 windows that never cross a split boundary.  Calendar
-features ride along with every window so the model can consume them as
-extra channels, and :func:`apply_noise` perturbs training histories.
+swept into stride-1 windows that never cross a split boundary.  Each
+part's windows are one :class:`~tpgn.model.WindowSet`: the part's values,
+its calendar features (extra channels for the model) and the start of
+every window, with no per-window object.  :func:`apply_noise` perturbs
+training histories.
 Timestamps are one ``datetime64[us]`` array throughout.
 """
 
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, DimensionError
-from .model import SeriesWindow
+from .errors import ConfigError, DataError
+from .model import WindowSet, as_window_set
 
 __all__ = [
     "RawSeries",
@@ -295,34 +296,20 @@ def split_points(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def windows_of(values, l_h: int, l_f: int, feats=None) -> list[SeriesWindow]:
+def windows_of(values, l_h: int, l_f: int, feats=None) -> WindowSet:
     """All stride-1 windows of one split: count = n - l_h - l_f + 1.
 
     ``values`` must be 1-D and ``feats`` ``[n, c]``, else DimensionError.
-    Their arrays are views of ``values`` and ``feats`` (when float64), cut
-    from the split checked once, so no window repeats SeriesWindow's checks.
+    The set holds ``values`` and ``feats`` themselves (when float64), so
+    every window taken from it is a view of the split.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    feats = np.zeros((n, 0)) if feats is None else np.asarray(feats, dtype=np.float64)
-    if values.ndim != 1 or feats.ndim != 2 or len(feats) != n:
-        raise DimensionError(f"windows need values [n] and features [n, c], got "
-                             f"shapes {values.shape} and {feats.shape}")
-    if n < l_h + l_f:
-        return []
-    histories = sliding_window_view(values[:n - l_f], l_h, writeable=True)
-    calendars = sliding_window_view(feats[:n - l_f], l_h, axis=0,
-                                    writeable=True).transpose(0, 2, 1)
-    targets = sliding_window_view(values[l_h:], l_f, writeable=True)
-    windows = []
-    for x_1d, tf_enc, y_true in zip(histories, calendars, targets):
-        window = object.__new__(SeriesWindow)  # the fields are checked above
-        window.x_1d, window.tf_enc, window.y_true = x_1d, tf_enc, y_true
-        windows.append(window)
-    return windows
+    feats = np.zeros((n, 0)) if feats is None else feats
+    return WindowSet(values, feats, l_h, l_f, np.arange(max(n - l_h - l_f + 1, 0)))
 
 
-def window_split(series: RawSeries, spec: SplitSpec, split: str) -> list[SeriesWindow]:
+def window_split(series: RawSeries, spec: SplitSpec, split: str) -> WindowSet:
     """The stride-1 windows of one part of the 60/20/20 partition
     (``"train"``, ``"validation"`` or ``"test"``), with calendar features
     from that part's own stamps.  A part shorter than one window raises
@@ -341,7 +328,7 @@ def window_split(series: RawSeries, spec: SplitSpec, split: str) -> list[SeriesW
 
 
 def split_and_window(series: RawSeries, spec: SplitSpec,
-                     ) -> tuple[list[SeriesWindow], list[SeriesWindow], list[SeriesWindow]]:
+                     ) -> tuple[WindowSet, WindowSet, WindowSet]:
     """Contiguous 60/20/20 partition, then stride-1 windows inside each part.
 
     Windows never straddle a boundary, so every test timestamp is strictly
@@ -351,30 +338,32 @@ def split_and_window(series: RawSeries, spec: SplitSpec,
                  for split in ("train", "validation", "test"))
 
 
-def apply_noise(windows, epsilon: float, seed: int) -> list[SeriesWindow]:
+def apply_noise(windows, epsilon: float, seed: int):
     """Perturb floor(epsilon * L_h) distinct history points of every window.
 
     Window i draws from ``default_rng(seed + i)``: first the points, then
     for each chosen point x an additive Uniform(-2|x|, +2|x|), so a zero
     stays a zero and a positive value lands in [-x, 3x].  The targets and
-    features are untouched, and a window with no point drawn is returned
-    itself.  An epsilon outside [0, 1] raises ConfigError.
+    features are untouched.  The noisy windows come back as a new
+    :class:`WindowSet` (:meth:`WindowSet.packed`); when no point is drawn
+    the windows are returned as given.  An epsilon outside [0, 1] raises
+    ConfigError.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    noisy = []
-    for i, window in enumerate(windows):
-        k = int(epsilon * window.l_h)
-        if k == 0:
-            noisy.append(window)
-            continue
+    if not len(windows):
+        return windows
+    clean = as_window_set(windows)
+    k = int(epsilon * clean.l_h)
+    if k == 0:
+        return windows
+    x = np.array(clean.histories())
+    for i, row in enumerate(x):
         rng = np.random.default_rng(seed + i)
-        idx = rng.choice(window.l_h, size=k, replace=False)
-        x = window.x_1d.copy()
-        span = 2.0 * np.abs(x[idx])
-        x[idx] += rng.uniform(-span, span)
-        noisy.append(SeriesWindow(x_1d=x, tf_enc=window.tf_enc, y_true=window.y_true))
-    return noisy
+        idx = rng.choice(clean.l_h, size=k, replace=False)
+        span = 2.0 * np.abs(row[idx])
+        row[idx] += rng.uniform(-span, span)
+    return WindowSet.packed(x, clean.calendars(), clean.targets())
 
 
 def synthetic_sinusoid(n_hours: int, period: float = 24.0, amplitude: float = 1.0,

@@ -23,8 +23,14 @@ resulting [P, R_f] grid is transposed and flattened so output index
 i = r_f*P + p, then de-normalized back to original units when
 normalization is on.
 
+A batch of windows is a :class:`WindowSet`: one series, its calendar
+features and the start of every window, so a split of thousands of
+windows holds no per-window object, and a batch is a slice or an index
+array of it.  A list of :class:`SeriesWindow` is copied into a set once
+(:func:`as_window_set`), so every path below reads a set.
+
 Everything here is pure in (windows, params) and batch-first:
-:func:`prepare_input` turns a batch of windows into one grid tensor
+:func:`prepare_input` gathers a batch of windows into one grid tensor
 [B, R, P, c] plus the batch's normalization stats, and the branches and
 the head each run the whole batch through the same handful of matrix
 products.  There is one forward over that tensor: training, evaluation
@@ -51,9 +57,10 @@ byte-equal to the tracked pass; at d_m=300 it is not (README, reproducibility).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import baselines
@@ -62,6 +69,8 @@ from .errors import ConfigError, ContractError, DimensionError
 
 __all__ = [
     "SeriesWindow",
+    "WindowSet",
+    "as_window_set",
     "NormStats",
     "TpgnVariant",
     "TpgnParams",
@@ -93,8 +102,9 @@ class SeriesWindow:
 
     Values are kept in original units; :func:`prepare_input` normalizes
     each window's history by its own moments.  Float64 arrays are kept as
-    given (views, for the windows of a split); :func:`prepare_input` and
-    :func:`stack_targets` reject NaN or Inf once per stacked batch.
+    given (views, for a window taken from a :class:`WindowSet`);
+    :func:`prepare_input` and :func:`stack_targets` reject NaN or Inf once
+    per stacked batch.
     """
 
     x_1d: np.ndarray    # [L_h]
@@ -123,6 +133,132 @@ class SeriesWindow:
     @property
     def c_time(self) -> int:
         return self.tf_enc.shape[1]
+
+
+_MIXED_WINDOWS = "windows of one batch differ in history length, horizon length or time features"
+
+
+@dataclass(eq=False)
+class WindowSet:
+    """Windows cut from one series, held as the series and where they start.
+
+    Window i is the ``l_h`` points from ``starts[i]`` with their calendar
+    features, then the ``l_f`` points after them.  No window is held as an
+    object: an int index (negative too) or iteration gives a
+    :class:`SeriesWindow` of views, a slice or an index array gives the set
+    of those windows, and ``a + b`` holds the windows of ``a`` then those of
+    ``b``, over the same arrays when both cut one series and else over the
+    two series joined.  :meth:`histories`, :meth:`calendars` and
+    :meth:`targets` read the whole set at once, each with one
+    ``sliding_window_view`` index.
+    """
+
+    values: np.ndarray  # [n]
+    feats: np.ndarray   # [n, C_time]
+    l_h: int
+    l_f: int
+    starts: np.ndarray  # [N], each in [0, n - l_h - l_f]
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        self.feats = np.asarray(self.feats, dtype=np.float64)
+        self.starts = np.asarray(self.starts, dtype=np.intp)
+        n = len(self.values)
+        if self.values.ndim != 1 or self.feats.ndim != 2 or len(self.feats) != n:
+            raise DimensionError(f"windows need values [n] and features [n, c], got "
+                                 f"shapes {self.values.shape} and {self.feats.shape}")
+        if self.l_h < 1 or self.l_f < 1:
+            raise ConfigError(f"window lengths must be positive, got {self.l_h}, {self.l_f}")
+        if self.starts.ndim != 1 or (self.starts.size and not (
+                0 <= self.starts.min() and self.starts.max() <= n - self.l_h - self.l_f)):
+            raise DimensionError(f"window starts must be 1-D and within the {n} points")
+
+    @classmethod
+    def packed(cls, histories: np.ndarray, calendars: np.ndarray,
+               targets: np.ndarray) -> "WindowSet":
+        """The windows of stacked arrays [N, L_h], [N, L_h, C_time] and
+        [N, L_f], copied: window i is segment i of a series of N segments of
+        L_h + L_f points (its target points have zero calendar features)."""
+        n, l_h = histories.shape
+        l_f, c = targets.shape[1], calendars.shape[2]
+        feats = np.zeros((n, l_h + l_f, c))
+        feats[:, :l_h] = calendars
+        return cls(np.concatenate([histories, targets], axis=1).reshape(-1),
+                   feats.reshape(n * (l_h + l_f), c), l_h, l_f, np.arange(n) * (l_h + l_f))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            s = int(self.starts[index])
+            window = SeriesWindow.__new__(SeriesWindow)  # views of arrays checked once
+            window.x_1d = self.values[s:s + self.l_h]
+            window.tf_enc = self.feats[s:s + self.l_h]
+            window.y_true = self.values[s + self.l_h:s + self.l_h + self.l_f]
+            return window
+        return replace(self, starts=self.starts[index])
+
+    def __iter__(self):
+        for i in range(len(self.starts)):
+            yield self[i]
+
+    def __add__(self, other: "WindowSet") -> "WindowSet":
+        if not isinstance(other, WindowSet):
+            return NotImplemented
+        if (self.l_h, self.l_f, self.c_time) != (other.l_h, other.l_f, other.c_time):
+            raise ConfigError(_MIXED_WINDOWS)
+        if other.values is self.values and other.feats is self.feats:
+            return replace(self, starts=np.concatenate([self.starts, other.starts]))
+        return WindowSet(np.concatenate([self.values, other.values]),
+                         np.concatenate([self.feats, other.feats]), self.l_h, self.l_f,
+                         np.concatenate([self.starts, other.starts + len(self.values)]))
+
+    @property
+    def c_time(self) -> int:
+        return self.feats.shape[1]
+
+    def _rows(self) -> slice | np.ndarray:
+        """The starts as a slice when they are evenly spaced (a split, a
+        slice of one, a packed set), so that :meth:`histories`,
+        :meth:`calendars` and :meth:`targets` are views of the set's arrays
+        and a copy into a batch buffer makes no temporary; other starts
+        gather into a new array.  Copy a view before writing to it."""
+        starts = self.starts
+        step = starts[1] - starts[0] if len(starts) > 1 else 1
+        if len(starts) and step > 0 and (np.diff(starts) == step).all():
+            return slice(starts[0], starts[-1] + 1, step)
+        return starts
+
+    def histories(self) -> np.ndarray:
+        """Every window's history: [N, L_h]."""
+        return sliding_window_view(self.values, self.l_h)[self._rows()]
+
+    def calendars(self) -> np.ndarray:
+        """Every window's calendar features: [N, L_h, C_time]."""
+        view = sliding_window_view(self.feats, self.l_h, axis=0)  # [.., C_time, L_h]
+        return view.transpose(0, 2, 1)[self._rows()]
+
+    def targets(self) -> np.ndarray:
+        """Every window's targets: [N, L_f]."""
+        return sliding_window_view(self.values[self.l_h:], self.l_f)[self._rows()]
+
+
+def as_window_set(windows) -> WindowSet:
+    """``windows`` as a :class:`WindowSet`: a set as it is, a sequence of
+    :class:`SeriesWindow` copied into one (:meth:`WindowSet.packed`).  An
+    empty sequence raises ContractError, windows of unequal lengths or
+    feature counts ConfigError."""
+    if isinstance(windows, WindowSet):
+        return windows
+    if not len(windows):
+        raise ContractError("empty window batch")
+    try:
+        arrays = [np.stack([getattr(w, name) for w in windows])
+                  for name in ("x_1d", "tf_enc", "y_true")]
+    except ValueError:
+        raise ConfigError(_MIXED_WINDOWS) from None
+    return WindowSet.packed(*arrays)
 
 
 @dataclass
@@ -305,9 +441,10 @@ def prepare_input(windows, norm: int, period: int,
                   ) -> tuple[np.ndarray, NormStats | None]:
     """Normalize each history and stack the batch into grids [B, R, P, c].
 
-    The batch is written once, into the one buffer of :func:`stack_grid`,
-    and channel 0 is normalized in place.  The moments use the population
-    divisor L_h.  Under norm=1 a constant or near-constant history (sigma
+    ``windows`` is a :class:`WindowSet` or a sequence of windows, as
+    :func:`stack_grid` takes them.  The batch is written once, into the one
+    buffer of :func:`stack_grid`, and channel 0 is normalized in place.  The
+    moments use the population divisor L_h.  Under norm=1 a constant or near-constant history (sigma
     below SIGMA_FLOOR) is normalized with sigma = SIGMA_FLOOR, so rounding
     noise stays near zero instead of being blown up to unit scale; the
     number of such windows is logged.  Under norm=0 the values pass through
@@ -339,33 +476,30 @@ def prepare_input(windows, norm: int, period: int,
 def stack_grid(windows) -> np.ndarray:
     """The batch's histories and time features in one array [B, L_h, 1+C_time].
 
-    Channel 0 is the history.  Windows of unequal lengths raise ConfigError,
-    a NaN or Inf raises ContractError.
+    Channel 0 is the history.  ``windows`` is a :class:`WindowSet` or a
+    sequence of :class:`SeriesWindow` (:func:`as_window_set`, so windows of
+    unequal lengths raise ConfigError).  An empty batch or a NaN or Inf
+    raises ContractError.
     """
-    if not windows:
+    windows = as_window_set(windows)
+    if not len(windows):
         raise ContractError("empty window batch")
-    first = windows[0]
-    grid = np.empty((len(windows), first.l_h, 1 + first.c_time))
-    try:
-        np.stack([w.x_1d for w in windows], out=grid[:, :, 0])
-        np.stack([w.tf_enc for w in windows], out=grid[:, :, 1:])
-    except ValueError:
-        raise ConfigError("windows of one batch differ in history length or "
-                          "time features") from None
+    grid = np.empty((len(windows), windows.l_h, 1 + windows.c_time))
+    grid[:, :, 0] = windows.histories()
+    grid[:, :, 1:] = windows.calendars()
     if not np.isfinite(grid).all():
         raise ContractError("history or time features contain NaN or Inf")
     return grid
 
 
 def stack_targets(windows) -> np.ndarray:
-    """The batch's targets [B, L_f].  An empty batch or a NaN or Inf raises
-    ContractError, windows of unequal horizons raise ConfigError."""
-    if not windows:
+    """The batch's targets [B, L_f], from a set or a sequence of windows as
+    :func:`stack_grid` takes them.  An empty batch or a NaN or Inf raises
+    ContractError."""
+    windows = as_window_set(windows)
+    if not len(windows):
         raise ContractError("empty window batch")
-    try:
-        y = np.stack([w.y_true for w in windows])
-    except ValueError:
-        raise ConfigError("windows of one batch differ in horizon length") from None
+    y = np.array(windows.targets())
     if not np.isfinite(y).all():
         raise ContractError("targets contain NaN or Inf")
     return y
@@ -567,13 +701,13 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
     differentiable; by default everything stays plain numpy.
     """
     _check_model(params, cfg)
+    windows = as_window_set(windows)
     grids, stats = prepare_input(windows, cfg.norm, cfg.period)
     want = (params.rows, params.period, params.channels)
-    horizons = {w.l_f for w in windows}
-    if grids.shape[1:] != want or horizons != {params.l_f}:
+    if grids.shape[1:] != want or windows.l_f != params.l_f:
         raise ConfigError(
-            f"window lengths give grids of shape {grids.shape[1:]} and horizons "
-            f"{sorted(horizons)}; the model expects {want} and [{params.l_f}]")
+            f"window lengths give grids of shape {grids.shape[1:]} and horizon "
+            f"{windows.l_f}; the model expects {want} and {params.l_f}")
     w = params.constants() if weights is None else weights
     return _forward_core(ad.constant(grids), stats, w, params)
 

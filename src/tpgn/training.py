@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import (VARIANTS, TpgnConfig, TpgnParams, stack_grid,
+from .model import (VARIANTS, TpgnConfig, TpgnParams, as_window_set, stack_grid,
                     stack_targets, tpgn_forward_batch)
 
 __all__ = [
@@ -325,8 +325,8 @@ def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:
 
 
 def _check_windows(windows) -> None:
-    """Stack every window once, a bounded chunk at a time: a NaN or Inf
-    raises ContractError before any weight changes."""
+    """Gather every window of a set once, a bounded chunk at a time: a NaN
+    or Inf raises ContractError before any weight changes."""
     for lo in range(0, len(windows), _EVAL_CHUNK):
         stack_grid(windows[lo:lo + _EVAL_CHUNK])
         stack_targets(windows[lo:lo + _EVAL_CHUNK])
@@ -337,6 +337,8 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
         ) -> tuple[Checkpoint, list[EpochRecord]]:
     """Train in place; returns the best-validation checkpoint and the log.
 
+    Each window set may also be a list of windows, copied into a set once
+    (:func:`model.as_window_set`); a minibatch is an index array of it.
     Every epoch reshuffles with the run generator, walks minibatches of
     ``batch_size`` (final partial batch kept), and then scores the full
     validation set.  Training stops at ``max_epochs`` or after
@@ -355,8 +357,9 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
         if getattr(cfg, name) != have:
             raise ConfigError(f"config {name}={getattr(cfg, name)} does not match "
                               f"the model's {have}")
-    _check_windows(train_windows)
-    _check_windows(val_windows)
+    train, val = as_window_set(train_windows), as_window_set(val_windows)
+    _check_windows(train)
+    _check_windows(val)
     mcfg = cfg.model_config()
     arrays = params.named_arrays()
     state = AdamState.init(arrays)
@@ -375,14 +378,14 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
     best = snapshot(float("inf"), 0)
     records: list[EpochRecord] = []
     bad_epochs = 0
-    n = len(train_windows)
+    n = len(train)
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         seen = 0
         weighted = 0.0
         for lo in range(0, n, cfg.batch_size):
-            batch = [train_windows[i] for i in order[lo:lo + cfg.batch_size]]
+            batch = train[order[lo:lo + cfg.batch_size]]
             graph = ad.Graph()
             leaves = params.leaf_into(graph)
             preds = tpgn_forward_batch(batch, params, mcfg, weights=leaves)
@@ -403,7 +406,7 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
             weighted += loss_value * len(batch)
             seen += len(batch)
         train_loss = weighted / seen
-        val_loss = _dataset_mse(params, val_windows, mcfg)
+        val_loss = _dataset_mse(params, val, mcfg)
         records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    val_loss=val_loss,
                                    elapsed_seconds=time.perf_counter() - t0))

@@ -239,6 +239,110 @@ class TestSplitAndWindow:
         assert np.all(np.abs(train[0].tf_enc) <= 0.5)
 
 
+def _window_bytes(window):
+    return tuple(getattr(window, f).tobytes() for f in ("x_1d", "tf_enc", "y_true"))
+
+
+def _per_window_lists(series, spec):
+    """Each split's windows as one SeriesWindow per start, sliced by hand."""
+    n_train, n_val, _ = split_points(len(series))
+    lists = []
+    for lo, hi in ((0, n_train), (n_train, n_train + n_val),
+                   (n_train + n_val, len(series))):
+        values = series.values[lo:hi]
+        feats = make_time_features(series.timestamps[lo:hi])
+        lists.append([SeriesWindow(x_1d=values[i:i + spec.l_h],
+                                   tf_enc=feats[i:i + spec.l_h],
+                                   y_true=values[i + spec.l_h:i + spec.l_h + spec.l_f])
+                      for i in range(hi - lo - spec.l_h - spec.l_f + 1)])
+    return lists
+
+
+class TestWindowSet:
+    """A split's window set against the per-window lists it replaced."""
+
+    spec = SplitSpec(l_h=24, l_f=12)
+
+    def sets_and_lists(self):
+        series = synthetic_sinusoid(300, noise=0.1, seed=4)
+        return split_and_window(series, self.spec), _per_window_lists(series, self.spec)
+
+    def test_every_index_matches_the_list(self):
+        sets, lists = self.sets_and_lists()
+        for windows, ref in zip(sets, lists):
+            n = len(ref)
+            assert len(windows) == n
+            for i in range(-n, n):
+                assert _window_bytes(windows[i]) == _window_bytes(ref[i])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    windows[i]
+            assert [_window_bytes(w) for w in windows] == [_window_bytes(w) for w in ref]
+
+    def test_slices_and_index_arrays_match_the_list(self):
+        sets, lists = self.sets_and_lists()
+        for windows, ref in zip(sets, lists):
+            picks = np.random.default_rng(0).permutation(len(ref))[:9]
+            for index, want in [*((k, ref[k]) for k in (
+                    slice(None), slice(3, 17), slice(-5, None), slice(None, None, 4),
+                    slice(10, 2, -3), slice(5, 5))), (picks, [ref[i] for i in picks])]:
+                got = windows[index]
+                assert got.values is windows.values
+                assert [_window_bytes(w) for w in got] == [_window_bytes(w) for w in want]
+
+    def test_adding_sets_matches_adding_lists(self):
+        (_, val, test), (_, val_ref, test_ref) = self.sets_and_lists()
+        # two series: the parts are joined, never the windows
+        joined = val + test
+        assert len(joined.values) == len(val.values) + len(test.values)
+        assert ([_window_bytes(w) for w in joined]
+                == [_window_bytes(w) for w in val_ref + test_ref])
+        # one series: the starts are joined over the same arrays
+        same = test[-3:] + test[:5]
+        assert same.values is test.values and same.feats is test.feats
+        assert ([_window_bytes(w) for w in same]
+                == [_window_bytes(w) for w in test_ref[-3:] + test_ref[:5]])
+        with pytest.raises(ConfigError, match="differ"):
+            val + windows_of(np.zeros(50), 24, 6)
+
+    def test_a_set_builds_no_window(self, monkeypatch):
+        from tpgn import model
+        from tpgn.model import TpgnParams, VARIANTS
+        from tpgn.training import TrainConfig, evaluate, fit, predict_windows
+
+        built = []
+
+        class Counted(SeriesWindow):
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls)
+
+        series = synthetic_sinusoid(400, noise=0.1, seed=5)
+        cfg = TrainConfig(l_h=48, l_f=24, d_m=4, max_epochs=1, patience=1, batch_size=8)
+        params = TpgnParams.init(48, 24, 24, 4, 4, np.random.default_rng(0),
+                                 VARIANTS["full"])
+        monkeypatch.setattr(model, "SeriesWindow", Counted)
+        train, val, test = split_and_window(series, SplitSpec(l_h=48, l_f=24))
+        windows = (val + test)[5:] + test[::3]
+        predict_windows(params, windows, cfg.model_config())
+        ckpt, _ = fit(params, train, val, cfg)
+        evaluate(ckpt, test)
+        assert built == []
+        test[0]
+        assert built == [Counted]
+
+    def test_constructor_checks_its_arrays(self):
+        from tpgn.model import WindowSet
+
+        with pytest.raises(DimensionError, match="within"):
+            WindowSet(np.zeros(10), np.zeros((10, 1)), 4, 2, [0, 5])
+        with pytest.raises(DimensionError, match="within"):
+            WindowSet(np.zeros(10), np.zeros((10, 1)), 4, 2, [-1])
+        with pytest.raises(ConfigError, match="positive"):
+            WindowSet(np.zeros(10), np.zeros((10, 1)), 0, 2, [0])
+        assert len(WindowSet(np.zeros(10), np.zeros((10, 1)), 4, 2, [4])) == 1
+
+
 class TestTimeFeatures:
     def test_hour_endpoints(self):
         f = make_time_features([datetime(2021, 6, 15, 0), datetime(2021, 6, 15, 23)])
@@ -326,6 +430,14 @@ class TestNoise:
             assert np.array_equal(a.x_1d, b.x_1d)
         # window i draws with seed + i, as window 0 of its own set
         assert np.array_equal(out[2].x_1d, self.noisy(ws[2], 0.5, 52).x_1d)
+
+    def test_a_split_set_keeps_its_values(self):
+        train = window_split(synthetic_sinusoid(200, seed=1), SplitSpec(24, 12), "train")
+        before = train.values.copy()
+        out = apply_noise(train, 0.5, 3)
+        assert train.values.tobytes() == before.tobytes()
+        assert ([_window_bytes(w) for w in out]
+                == [_window_bytes(w) for w in apply_noise(list(train), 0.5, 3)])
 
     def test_epsilon_out_of_range(self):
         # checked before any window is looked at, even with no windows

@@ -8,7 +8,8 @@ import pytest
 
 from tpgn import autodiff as ad
 from tpgn import baselines
-from tpgn.data import make_time_features, synthetic_sinusoid, windows_of
+from tpgn.data import (SplitSpec, make_time_features, split_and_window,
+                       synthetic_sinusoid, windows_of)
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
                         TpgnConfig, TpgnParams, _distinct_summaries, _forward_core,
@@ -971,3 +972,64 @@ class TestGoldenStep:
     @pytest.mark.parametrize("variant", ["full", "gru"])
     def test_step_bytes(self, variant):
         assert golden_step_hashes(variant) == self.GOLDEN[variant]
+
+
+def golden_val_test():
+    """Validation plus test windows of a fixed series: 257 + 257 at 96->48,
+    so ``predict_windows`` runs one full 512-window chunk and one of two."""
+    series = synthetic_sinusoid(2000, noise=0.05, seed=26)
+    _, val_w, test_w = split_and_window(series, SplitSpec(l_h=96, l_f=48))
+    return val_w + test_w
+
+
+def golden_model(variant, norm):
+    params = TpgnParams.init(96, 48, 24, 4, 16, np.random.default_rng(26),
+                             VARIANTS[variant])
+    return params, TpgnConfig(norm=norm, period=24, variant=VARIANTS[variant])
+
+
+class TestGoldenPredictions:
+    """``predict_windows`` over validation plus test windows, pinned bit for
+    bit, so that a change to the windows, the batching or the untracked
+    forward shows if it moves a single bit (numpy 2.4.6, OpenBLAS 0.3.31,
+    as in CI)."""
+
+    GOLDEN = {
+        ("full", 0): "41f7f5db987303bb96113805768d50a0a7cf86d16ae1c44c5cca6c26be067b26",
+        ("full", 1): "3aef9ddff7f9bcaf29129f2787be535f936f07951320744685cb07277e20888c",
+        ("gru", 0): "303e1945412e216507b0ab32c4a4e7a247b047f200e9c4990e532c5e0ee96bbc",
+        ("gru", 1): "da9cb48acc5ef2e61dcd41dc10459a29beee8989daa6e1f448bdbf386e650236",
+        ("short", 0): "b30a51bdcb5dc6c6a8168e9ed620279de88af45e39ee982d82be960347a61f60",
+        ("short", 1): "65e89c17d2b1857502e78c31c1b3e6b893d14c630c3eacce1213de3e788795bc",
+    }
+
+    @pytest.mark.parametrize("variant, norm", list(GOLDEN))
+    def test_prediction_bytes(self, variant, norm):
+        params, cfg = golden_model(variant, norm)
+        preds = predict_windows(params, golden_val_test(), cfg)
+        assert preds.shape == (514, 48)
+        assert hashlib.sha256(preds.tobytes()).hexdigest() == self.GOLDEN[variant, norm]
+
+
+class TestSetAndList:
+    """A window set and the list of its windows give the same bytes."""
+
+    # starts evenly spaced (read as views) and not (gathered): a run, every
+    # 7th window, and a run from validation into test
+    @pytest.mark.parametrize("index", [slice(40, 60), slice(0, 250, 7), slice(250, 270)])
+    def test_grids_targets_and_predictions(self, index):
+        windows = golden_val_test()[index]
+        as_list = list(windows)
+        for norm in (0, 1):
+            (grid, stats), (ref, ref_stats) = (prepare_input(w, norm, 24)
+                                               for w in (windows, as_list))
+            assert grid.tobytes() == ref.tobytes()
+            assert (stats is None and ref_stats is None) or (
+                (stats.mu.tobytes(), stats.sigma.tobytes())
+                == (ref_stats.mu.tobytes(), ref_stats.sigma.tobytes()))
+            params, cfg = golden_model("full", norm)
+            assert (predict_windows(params, windows, cfg).tobytes()
+                    == predict_windows(params, as_list, cfg).tobytes())
+        targets = stack_targets(windows)
+        assert targets.tobytes() == stack_targets(as_list).tobytes()
+        assert not np.shares_memory(targets, windows.values)

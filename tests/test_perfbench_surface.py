@@ -4,7 +4,10 @@
 that removes or renames a name it uses would only show when the benchmark
 runs.  Loading ``spans.py`` and ``workloads.py`` by path (not ``run.py``,
 which sets BLAS variables on import), building and installing the tracer,
-and running every workload's set-up catches that here.
+and running every workload's set-up catches that here.  A few of each
+workload's own calls and checks then run, so a library change that
+breaks what the benchmark does with the windows (``val_w + test_w``,
+slicing, ``w.y_true``) or the predictions fails here too.
 """
 
 import importlib.util
@@ -51,3 +54,21 @@ def test_workload_setup_runs(name, tmp_path, monkeypatch):
     run = workloads.Run()
     workloads.WORKLOADS[name](1, tmp_path, run).setup()
     assert run.failed == 0, run.errors
+
+
+# the calls after set-up that reach every way the workloads use the library
+FOLLOW_UP = {"train_protocol": ("_step",),
+             "forecast_eval": ("warmup", "final_checks"),
+             "long_history": ("final_checks",)}
+
+
+@pytest.mark.parametrize("name", list(FOLLOW_UP))
+def test_workload_checks_pass(name, tmp_path, monkeypatch):
+    workloads = _load("workloads", monkeypatch)
+    run = workloads.Run()
+    workload = workloads.WORKLOADS[name](1, tmp_path, run)
+    workload.setup()
+    for step in FOLLOW_UP[name]:
+        getattr(workload, step)()
+    assert run.failed == 0, run.errors
+    assert run.checks and run.checks_ok, run.checks
