@@ -2,7 +2,8 @@
 
 Each scenario times one training step (tracked forward plus backward) and
 one tracked forward of a model kind at given history/horizon lengths,
-reporting the median over repeats after warmup.  ``peak_bytes`` is the
+reporting the median over repeats after warmup; :func:`forward_ms_median`
+times the forward alone, warmed up with forwards.  ``peak_bytes`` is the
 tape's own count, not process RSS: the highest live total of the arrays a
 training step's tape holds or hands out (forward values, operands and
 every gradient backward creates), and identical steps report identical
@@ -30,6 +31,7 @@ __all__ = [
     "BenchScenario",
     "BenchRecord",
     "run_scenario",
+    "forward_ms_median",
     "sweep",
     "versioned_path",
     "balanced_factors",
@@ -126,21 +128,39 @@ def _cell_setup(s: BenchScenario):
     return forward, loss_of, s.batch * macs, depth
 
 
+def _setup(s: BenchScenario):
+    return (_tpgn_setup if s.model == "TPGN" else _cell_setup)(s)
+
+
+def _median_forward_ms(forward, repeat: int) -> float:
+    """Median wall time of ``repeat`` tracked forwards, in ms."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        forward(ad.Graph())
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
+def forward_ms_median(s: BenchScenario) -> float:
+    """A scenario's ``forward_ms_median`` alone: ``s.warmup`` warm-up
+    forwards, then the median of ``s.repeat`` timed ones; no training step
+    runs."""
+    forward = _setup(s)[0]
+    for _ in range(s.warmup):
+        forward(ad.Graph())
+    return _median_forward_ms(forward, s.repeat)
+
+
 def run_scenario(s: BenchScenario) -> BenchRecord:
     """Measure one scenario; an out-of-memory failure is recorded, not raised."""
     try:
-        setup = _tpgn_setup if s.model == "TPGN" else _cell_setup
-        forward, loss_of, macs, depth = setup(s)
+        forward, loss_of, macs, depth = _setup(s)
 
         def train_step() -> ad.Graph:
             graph = ad.Graph()
             out = forward(graph)
             ad.backward(loss_of(out))
-            return graph
-
-        def forward_only() -> ad.Graph:
-            graph = ad.Graph()
-            forward(graph)
             return graph
 
         for _ in range(s.warmup):
@@ -152,14 +172,9 @@ def run_scenario(s: BenchScenario) -> BenchRecord:
             graph = train_step()
             step_times.append((time.perf_counter() - t0) * 1e3)
             peak = max(peak, graph.peak_bytes)
-        fwd_times = []
-        for _ in range(s.repeat):
-            t0 = time.perf_counter()
-            forward_only()
-            fwd_times.append((time.perf_counter() - t0) * 1e3)
         return BenchRecord(scenario=s,
                            time_ms_median=statistics.median(step_times),
-                           forward_ms_median=statistics.median(fwd_times),
+                           forward_ms_median=_median_forward_ms(forward, s.repeat),
                            peak_bytes=peak, macs=macs, graph_depth=depth)
     except MemoryError as exc:
         return BenchRecord(scenario=s, ok=False, error=f"out of memory: {exc}")

@@ -29,29 +29,29 @@ windows holds no per-window object, and a batch is a slice or an index
 array of it.  A list of :class:`SeriesWindow` is copied into a set once
 (:func:`as_window_set`), so every path below reads a set.
 
-Everything here is pure in (windows, params) and batch-first:
-:func:`prepare_input` gathers a batch of windows into one grid tensor
-[B, R, P, c] plus the batch's normalization stats, and the branches and
-the head each run the whole batch through the same handful of matrix
-products.  There is one forward over that tensor: training, evaluation
-and the benchmark feed it constant grids, and the depth probe feeds it a
-tracked one.  The parameters hold only the weights their variant uses,
-and the variant is read off them.
+Everything here is pure in (windows, params) and batch-first: the
+branches and the head each run the whole batch through the same handful
+of matrix products.  The parameters hold only the weights their variant
+uses, and the variant is read off them.
 
-The forward has two paths, each covering every variant and both head
-modes.  A tracked pass runs the taped branch and head functions over
-every column, because anything else would sum each weight gradient in
-another order.  An untracked pass (:func:`_blocked_head`) exploits that
-the long branch's column sequences are independent and that windows cut
-one step apart share them: column p of window i+1 is column p+1 of
-window i, so N consecutive windows hold N+P-1 distinct columns, not N*P.
-It finds these repeats by comparing the values (shuffled batches and
-norm=1 grids have none), gathers each distinct column from the grid and
-runs it once, in cache-sized blocks (:func:`autodiff.sequence_blocks`),
-and maps cache-sized blocks of windows through the head without building
-the [B*P, 2d] joint array.  No GEMM crosses OpenBLAS's small-matrix limit
-and no GEMV is split, so at the widths ``TestWideModels`` pins the result is
-byte-equal to the tracked pass; at d_m=300 it is not (README, reproducibility).
+The forward has three paths, each covering every variant and both head
+modes.  A tracked pass runs the taped branch and head functions over the
+grids of :func:`prepare_input` ([B, R, P, c] plus the batch's
+normalization stats), every column and patch, because anything else
+would sum each weight gradient in another order; the depth probe feeds
+it a tracked grid.  An untracked pass maps cache-sized blocks of windows
+through the head (:func:`_blocked_head`) without building the [B*P, 2d]
+joint array, and runs the long branch's independent column sequences in
+cache-sized blocks (:func:`autodiff.sequence_blocks`).  Under norm=1 it
+reads the grids and runs every column.  Under norm=0 it reads the series
+itself (:func:`_run_head`): windows whose starts are one apart form a
+run, and a run of N windows holds N+P-1 distinct column sequences (column
+p of window i+1 is column p+1 of window i) and N+(R-1)*P distinct
+patches, which it reads as strided views of the history points gathered
+once, and runs once each where that keeps the bits.  No GEMM crosses
+OpenBLAS's small-matrix limit and no GEMV is split, so at the widths
+``TestWideModels`` pins the result is byte-equal to the tracked pass; at
+d_m=300 it is not (README, reproducibility).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import autodiff as ad
 from . import baselines
@@ -102,9 +102,8 @@ class SeriesWindow:
 
     Values are kept in original units; :func:`prepare_input` normalizes
     each window's history by its own moments.  Float64 arrays are kept as
-    given (views, for a window taken from a :class:`WindowSet`);
-    :func:`prepare_input` and :func:`stack_targets` reject NaN or Inf once
-    per stacked batch.
+    given (views, for a window taken from a :class:`WindowSet`); the
+    forward and :func:`stack_targets` reject NaN or Inf once per batch.
     """
 
     x_1d: np.ndarray    # [L_h]
@@ -242,6 +241,43 @@ class WindowSet:
     def targets(self) -> np.ndarray:
         """Every window's targets: [N, L_f]."""
         return sliding_window_view(self.values[self.l_h:], self.l_f)[self._rows()]
+
+    def history_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point under some window's history once, in series order, as
+        rows [n, 1+C_time] of its value and calendar features, and the row
+        where each window starts.  A NaN or Inf among them raises
+        ContractError."""
+        span, covered = _covered(self.starts, self.l_h)
+        values = self.values[span][covered]
+        rows = np.empty((len(values), 1 + self.c_time))
+        rows[:, 0] = values
+        rows[:, 1:] = self.feats[span][covered]
+        if not np.isfinite(rows).all():
+            raise ContractError("history or time features contain NaN or Inf")
+        at = self.starts - span.start
+        return rows, at if isinstance(covered, slice) else (np.cumsum(covered) - 1)[at]
+
+    def check_finite(self) -> None:
+        """Raise ContractError on a NaN or Inf at any point the windows read
+        (:meth:`history_rows`, then the target values), each point once."""
+        if len(self):
+            self.history_rows()
+            span, covered = _covered(self.starts + self.l_h, self.l_f)
+            if not np.isfinite(self.values[span][covered]).all():
+                raise ContractError("targets contain NaN or Inf")
+
+
+def _covered(starts: np.ndarray, length: int) -> tuple[slice, slice | np.ndarray]:
+    """The points that runs of ``length`` from ``starts`` cover: the slice
+    of the series from the first to the last, and which of its points are
+    covered, a full slice when starts rise by at most ``length`` each."""
+    gaps = np.diff(starts)
+    if ((gaps > 0) & (gaps <= length)).all():
+        return slice(starts[0], starts[-1] + length), slice(None)
+    lo, hi = starts.min(), starts.max() + length
+    edges = (np.bincount(starts - lo, minlength=hi - lo + 1)
+             - np.bincount(starts - lo + length, minlength=hi - lo + 1))
+    return slice(lo, hi), np.cumsum(edges[:-1]) > 0
 
 
 def as_window_set(windows) -> WindowSet:
@@ -515,34 +551,11 @@ def _cell_keys(w: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     return {k[cut:]: v for k, v in w.items() if k.startswith(prefix)}
 
 
-def _first_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of the columns [B, P, R, c] run, and where each one's summary is.
-
-    Window i continues window i-1 when its columns 0..P-2 equal the
-    predecessor's columns 1..P-1 bit for bit (so -0.0 never stands in for
-    0.0), as for windows cut one step apart from one series.  Column p of window i then repeats column
-    p+k of window i-k, k = min(windows since the run began, P-1-p), so only
-    the columns with k = 0 run.  Returns their flat (b, p)-major indices and,
-    for every column, the position of its source among them.
-    """
-    b, period = cols.shape[:2]
-    bits = cols.view(np.uint64)
-    follows = np.zeros(b, dtype=bool)
-    follows[1:] = (bits[1:, :-1] == bits[:-1, 1:]).all(axis=(1, 2, 3))
-    i = np.arange(b)
-    since = i - np.maximum.accumulate(np.where(follows, 0, i))
-    k = np.minimum(since[:, None], np.arange(period - 1, -1, -1))
-    first = (k == 0).ravel()
-    source = (i[:, None] - k) * period + np.arange(period) + k
-    return np.flatnonzero(first), (np.cumsum(first) - 1)[source.ravel()]
-
-
 def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     """Column summaries [B*P, hidden] through the ``kind`` cell, rows (b, p)-major.
 
     One pass over every column, as training differentiates it; the
-    untracked forward runs each distinct column once instead
-    (:func:`_distinct_summaries`).
+    untracked forward runs its columns in blocks (:func:`_column_summaries`).
     """
     b, rows, period, c = grid.shape
     seqs = ad.reshape(ad.permute(grid, (0, 2, 1, 3)), (b * period, rows, c))
@@ -550,43 +563,13 @@ def long_branch(grid: Tensor, w: dict[str, Tensor], kind: str) -> Tensor:
     return ad.add(ad.collapse_rows(cells, w["long_w"], b * period), w["long_b"])
 
 
-def _distinct_summaries(grid: np.ndarray, w: dict[str, Tensor], kind: str,
-                        ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Untracked: summaries [n, hidden] of the distinct columns, gathered
-    from the grid (:func:`_first_columns`) and run in the cache-sized
-    blocks of :func:`autodiff.sequence_blocks`, and each column's row among
-    them (None when every column ran).  Every column runs when dropping the
-    repeats would take the smallest GEMM under OpenBLAS's small-matrix
-    limit, or at hidden = 1, where the cell's GEMVs sum by row count.
-    """
-    b, rows, period, c = grid.shape
-    m = b * period
-    apply, cell_w = baselines.CELLS[kind].apply, _cell_keys(w, "cell.")
-    d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
-    cols = grid.transpose(0, 2, 1, 3)
-    run, source = _first_columns(cols)
-    if d > 1 and len(run) < m and ad.small_gemm(len(run) * d) == ad.small_gemm(m * d):
-        todo = grid[run // period, :, run % period]
-    else:
-        todo, source = cols.reshape(m, rows, c), None
-    out = np.empty((len(todo), d))
-    for s, e in ad.sequence_blocks(len(todo), rows * d * 8, d, d):
-        part = apply(ad.constant(todo[s:e]), cell_w)
-        out[s:e] = ad.add(ad.collapse_rows(part, w["long_w"], e - s), w["long_b"]).data
-    return out, source
-
-
-def _global_vector(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
-    """The short branch's patch summary of each grid: [B, hidden]."""
+def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
+    """Global patch summary of each grid, repeated per column: [B*P, hidden]."""
     b, rows, period, c = grid.shape
     rows_flat = ad.reshape(grid, (b * rows, period * c))
     patches = ad.linear(rows_flat, w["row_w"], w["row_b"])  # [B*R, d]
-    return ad.add(ad.collapse_rows(patches, w["col_w"], b), w["col_b"])
-
-
-def short_branch(grid: Tensor, w: dict[str, Tensor]) -> Tensor:
-    """Global patch summary of each grid, repeated per column: [B*P, hidden]."""
-    return ad.repeat_rows(_global_vector(grid, w), grid.shape[2])
+    summary = ad.add(ad.collapse_rows(patches, w["col_w"], b), w["col_b"])
+    return ad.repeat_rows(summary, period)
 
 
 def forecast_head(h_long: Tensor, h_rep: Tensor, w: dict[str, Tensor],
@@ -617,33 +600,107 @@ def _forecasts(y3: Tensor, stats: NormStats | None) -> Tensor:
     return out
 
 
-def _blocked_head(grid: np.ndarray, w: dict[str, Tensor],
-                  params: TpgnParams) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the untracked pass: plain arrays, run in cache-sized blocks
+
+def _run_items(view: np.ndarray, first: np.ndarray, extra: int, offsets: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct items of runs of consecutive windows, and each window's.
+
+    ``first`` is each window's first history row; windows whose rows are
+    one apart form a run.  A run of N windows holds N + ``extra`` distinct
+    items (column sequences for extra = P-1, patches for extra = (R-1)*P):
+    item j of a run from row s is ``view[s + j]``, and part k of window q
+    of the run is its item q + offsets[k].  Returns the items, runs in
+    order, and the item of every window part, window-major.
+    """
+    breaks = np.flatnonzero(np.diff(first) != 1) + 1
+    if not len(breaks):  # one run
+        items, base = np.arange(first[0], first[0] + len(first) + extra), np.arange(len(first))
+    else:
+        sizes = np.diff(breaks, prepend=0, append=len(first)) + extra
+        starts = first[np.r_[0, breaks]] - (np.cumsum(sizes) - sizes)
+        items = np.repeat(starts, sizes) + np.arange(sizes.sum())
+        runs_before = np.searchsorted(breaks, np.arange(len(first)), side="right")
+        base = np.arange(len(first)) + runs_before * extra
+    return view[items], (base[:, None] + offsets).ravel()
+
+
+def _column_summaries(seqs: np.ndarray, source: np.ndarray | None,
+                      w: dict[str, Tensor], kind: str,
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Untracked: summaries [n, hidden] of the column sequences [n, R, c],
+    run in the cache-sized blocks of :func:`autodiff.sequence_blocks`, and
+    each window column's row among them (``source``; None when ``seqs``
+    holds every column, (b, p)-major).  Every column runs, gathered by
+    ``source``, when running only ``seqs`` would take the smallest GEMM
+    under OpenBLAS's small-matrix limit while every column would not, or
+    at hidden = 1, where the cell's GEMVs sum by row count.
+    """
+    apply, cell_w = baselines.CELLS[kind].apply, _cell_keys(w, "cell.")
+    d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
+    if source is not None and (
+            d == 1 or ad.small_gemm(len(seqs) * d) != ad.small_gemm(len(source) * d)):
+        seqs, source = seqs[source], None
+    rows = seqs.shape[1]
+    out = np.empty((len(seqs), d))
+    for s, e in ad.sequence_blocks(len(seqs), rows * d * 8, d, d):
+        part = apply(ad.constant(seqs[s:e]), cell_w)
+        out[s:e] = ad.add(ad.collapse_rows(part, w["long_w"], e - s), w["long_b"]).data
+    return out, source
+
+
+def _patch_summaries(patches: np.ndarray, index: np.ndarray | None,
+                     w: dict[str, Tensor], batch: int) -> np.ndarray:
+    """Untracked: each window's patch summary [B, hidden] from the patches
+    [n, P*c] and each window row's patch (``index``; None when ``patches``
+    holds every row, (b, r)-major).  The patch map runs once per distinct
+    patch only where that keeps the bits of mapping every row: hidden a
+    multiple of eight, fewer rows, and the GEMM on the same side of
+    OpenBLAS's small-matrix limit; otherwise it maps every row.
+    """
+    d = w["row_w"].shape[0]
+    if index is not None and not (
+            d % 8 == 0 and len(patches) < len(index)
+            and ad.small_gemm(len(patches) * d) == ad.small_gemm(len(index) * d)):
+        patches, index = patches[index], None
+    mapped = ad.linear(ad.constant(patches), w["row_w"], w["row_b"]).data
+    rows = mapped if index is None else mapped[index]  # [B*R, d]
+    return ad.add(ad.collapse_rows(ad.constant(rows), w["col_w"], batch), w["col_b"]).data
+
+
+def _blocked_head(columns, patches, w: dict[str, Tensor], params: TpgnParams,
+                  batch: int) -> np.ndarray:
     """The untracked head's outputs [B, P, R_f], one block of windows at a time.
 
+    ``columns()`` gives the long branch's column sequences and each window
+    column's sequence, ``patches()`` the short branch's patches and each
+    window row's patch (:func:`_column_summaries`,
+    :func:`_patch_summaries`); each is called only when its branch runs.
     Each block fills one reused [block*P, 2d] buffer, the left half from
-    the distinct long summaries by index and the right half from each
-    window's global vector, and maps it with one GEMM, or with one stacked
-    GEMM of ``block`` rows per phase for the per-phase head.  The plan
+    the long summaries by index and the right half from each window's
+    global vector, and maps it with one GEMM, or with one stacked GEMM of
+    ``block`` rows per phase for the per-phase head.  The plan
     (:func:`autodiff.sequence_blocks`) keeps every GEMM above the
     small-matrix limit and never splits a GEMV (R_f = 1), so each row sums
     as in one product over the whole batch.
     """
-    batch, period, d, r_f = grid.shape[0], params.period, params.hidden, params.horizon_rows
+    period, d, r_f = params.period, params.hidden, params.horizon_rows
     variant, head_w = params.variant, w["head_w"].data
+    long_out = global_vec = None
+    if variant.long_branch != "off":
+        long_out, source = _column_summaries(*columns(), w, variant.long_branch)
+    if variant.short_branch:
+        global_vec = _patch_summaries(*patches(), w, batch)
     gemm_outputs = period * r_f if params.head_shared else r_f  # per window
     blocks = ad.sequence_blocks(batch, period * 2 * d * 8, gemm_outputs, r_f)
     buf = np.zeros((max(e - s for s, e in blocks) * period, 2 * d))
     y = np.empty((batch, period, r_f))
-    if variant.long_branch != "off":
-        long_out, source = _distinct_summaries(grid, w, variant.long_branch)
-    if variant.short_branch:
-        global_vec = _global_vector(ad.constant(grid), w).data
     for s, e in blocks:
         joint, cols = buf[:(e - s) * period], slice(s * period, e * period)
-        if variant.long_branch != "off":
+        if long_out is not None:
             joint[:, :d] = long_out[cols if source is None else source[cols]]
-        if variant.short_branch:
+        if global_vec is not None:
             joint.reshape(e - s, period, 2 * d)[:, :, d:] = global_vec[s:e, None]
         if params.head_shared:
             np.matmul(joint, head_w.T, out=y[s:e].reshape(-1, r_f))
@@ -654,16 +711,42 @@ def _blocked_head(grid: np.ndarray, w: dict[str, Tensor],
     return y
 
 
+def _run_head(windows: WindowSet, w: dict[str, Tensor], params: TpgnParams,
+              ) -> np.ndarray:
+    """The untracked norm=0 head outputs [B, P, R_f], read from the set's
+    series: the points under the histories are gathered and checked once
+    (:meth:`WindowSet.history_rows`), and each run of consecutive windows
+    reads its distinct column sequences and patches from them as strided
+    views (:func:`_run_items`)."""
+    block, first = windows.history_rows()
+    rows, period = params.rows, params.period
+    (n, c), (step, item) = block.shape, block.strides
+    # column p of window i is the sequence from row first[i] + p, row r the
+    # patch from row first[i] + r*P
+    seqs = as_strided(block, (n - (rows - 1) * period, rows, c),
+                      (step, period * step, item), writeable=False)
+    patches = as_strided(block, (n - period + 1, period * c), (step, item),
+                         writeable=False)
+    return _blocked_head(
+        lambda: _run_items(seqs, first, period - 1, np.arange(period)),
+        lambda: _run_items(patches, first, (rows - 1) * period, np.arange(rows) * period),
+        w, params, len(windows))
+
+
 def _forward_core(grid: Tensor, stats: NormStats | None,
                   w: dict[str, Tensor], params: TpgnParams) -> Tensor:
     """The model forward: grid [B, R, P, c] -> predictions [B, L_f].
 
     A tracked pass runs the branches and the head as taped ops over every
-    column; an untracked one runs :func:`_blocked_head`.
+    column; an untracked one runs :func:`_blocked_head` over every column
+    and patch.
     """
-    batch, _, period, _ = grid.shape
+    batch, rows, period, c = grid.shape
     if not (grid.tracked or any(t.tracked for t in w.values())):
-        y = _blocked_head(grid.data, w, params)  # [B, P, R_f]
+        g = grid.data
+        y = _blocked_head(  # [B, P, R_f]
+            lambda: (g.transpose(0, 2, 1, 3).reshape(batch * period, rows, c), None),
+            lambda: (g.reshape(batch * rows, period * c), None), w, params, batch)
         return _forecasts(ad.constant(y.transpose(0, 2, 1)), stats)
     zeros = ad.constant(np.zeros((batch * period, params.hidden)))
     variant = params.variant
@@ -698,17 +781,25 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
     """Forecast a batch of windows at once: predictions [B, L_f].
 
     Pass ``weights = params.leaf_into(graph)`` to make the pass
-    differentiable; by default everything stays plain numpy.
+    differentiable; by default everything stays plain numpy.  An untracked
+    norm=0 pass reads the windows straight from their series
+    (:func:`_run_head`); any other pass runs on the grids of
+    :func:`prepare_input`.
     """
     _check_model(params, cfg)
     windows = as_window_set(windows)
-    grids, stats = prepare_input(windows, cfg.norm, cfg.period)
-    want = (params.rows, params.period, params.channels)
-    if grids.shape[1:] != want or windows.l_f != params.l_f:
-        raise ConfigError(
-            f"window lengths give grids of shape {grids.shape[1:]} and horizon "
-            f"{windows.l_f}; the model expects {want} and {params.l_f}")
+    if not len(windows):
+        raise ContractError("empty window batch")
+    have = (windows.l_h, 1 + windows.c_time, windows.l_f)
+    want = (params.l_h, params.channels, params.l_f)
+    if have != want:
+        raise ConfigError(f"window lengths and channels {have} (history, channels, "
+                          f"horizon) differ from the model's {want}")
     w = params.constants() if weights is None else weights
+    if cfg.norm == 0 and not any(t.tracked for t in w.values()):
+        y = _run_head(windows, w, params)  # [B, P, R_f]
+        return _forecasts(ad.constant(y.transpose(0, 2, 1)), None)
+    grids, stats = prepare_input(windows, cfg.norm, cfg.period)
     return _forward_core(ad.constant(grids), stats, w, params)
 
 
@@ -730,9 +821,10 @@ class FlopCount:
     complexity claim is about.
 
     These are the nominal dense counts for one window, every column through
-    the cell.  An untracked batch of consecutive windows runs each shared
-    column once (:func:`_distinct_summaries`), so it executes fewer
-    long-branch MACs than the batch size times ``long_branch``.
+    the cell.  An untracked norm=0 batch of consecutive windows runs each
+    shared column, and at some widths each shared patch, once
+    (:func:`_run_head`), so it executes fewer branch MACs than the batch
+    size times ``long_branch`` and ``short_branch``.
     """
 
     long_branch: int

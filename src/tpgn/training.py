@@ -24,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import (VARIANTS, TpgnConfig, TpgnParams, as_window_set, stack_grid,
-                    stack_targets, tpgn_forward_batch)
+from .model import (VARIANTS, TpgnConfig, TpgnParams, as_window_set, stack_targets,
+                    tpgn_forward_batch)
 
 __all__ = [
     "TrainConfig",
@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TPGN1"
-# windows per untracked forward during evaluation: bounds the memory of the
-# input grids and the short branch; the long branch and the head run in
+# windows per untracked forward during evaluation: bounds the gathered
+# history points, distinct columns and patches (or, under norm=1, the input
+# grids) and the short branch's rows; the long branch and the head run in
 # their own cache-sized blocks (model._blocked_head)
 _EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
@@ -324,14 +325,6 @@ def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:
     return mse(preds, targets)
 
 
-def _check_windows(windows) -> None:
-    """Gather every window of a set once, a bounded chunk at a time: a NaN
-    or Inf raises ContractError before any weight changes."""
-    for lo in range(0, len(windows), _EVAL_CHUNK):
-        stack_grid(windows[lo:lo + _EVAL_CHUNK])
-        stack_targets(windows[lo:lo + _EVAL_CHUNK])
-
-
 def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
         extra_config: dict[str, str] | None = None,
         ) -> tuple[Checkpoint, list[EpochRecord]]:
@@ -358,8 +351,8 @@ def fit(params: TpgnParams, train_windows, val_windows, cfg: TrainConfig,
             raise ConfigError(f"config {name}={getattr(cfg, name)} does not match "
                               f"the model's {have}")
     train, val = as_window_set(train_windows), as_window_set(val_windows)
-    _check_windows(train)
-    _check_windows(val)
+    train.check_finite()  # before any weight changes
+    val.check_finite()
     mcfg = cfg.model_config()
     arrays = params.named_arrays()
     state = AdamState.init(arrays)

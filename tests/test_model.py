@@ -8,11 +8,12 @@ import pytest
 
 from tpgn import autodiff as ad
 from tpgn import baselines
+from tpgn import model as tpgn_model
 from tpgn.data import (SplitSpec, make_time_features, split_and_window,
                        synthetic_sinusoid, windows_of)
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
-                        TpgnConfig, TpgnParams, _distinct_summaries, _forward_core,
+                        TpgnConfig, TpgnParams, _forward_core,
                         finite_diff_all_params, flop_count, forecast_head,
                         long_branch, param_count, prepare_input, short_branch,
                         stack_grid, stack_targets, tpgn_forward, tpgn_forward_batch,
@@ -452,17 +453,26 @@ def consecutive_windows(n, l_h=48, l_f=16, c_time=4, seed=60):
 
 
 class TestRepeatedColumns:
-    """Consecutive windows share columns; the untracked long branch runs each once."""
+    """Consecutive windows share columns and patches; the untracked forward
+    runs each distinct column once, and each distinct patch once where that
+    keeps the bits."""
 
     # gru/lstm at d=32 with a few windows are where the distinct columns
     # alone would fall under OpenBLAS's small-GEMM limit
     CASES = [(d, n) for d in (8, 32) for n in (1, 2, 3, 5, 9, 13, 40)]
 
     @pytest.mark.parametrize("kind", sorted(baselines.CELLS))
-    def test_long_branch_matches_shuffled_batch(self, kind):
+    def test_long_branch_matches_shuffled_batch(self, kind, monkeypatch):
         # shuffling breaks the runs of consecutive windows, so nearly every
         # column runs; long_branch runs every column in one pass
         variant = "full" if kind == "pgn" else kind
+        column_summaries, ran = tpgn_model._column_summaries, []
+
+        def recording(*args):
+            ran.append(column_summaries(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(tpgn_model, "_column_summaries", recording)
         for d, n in self.CASES:
             windows = consecutive_windows(n)
             order = np.random.default_rng(n).permutation(n)
@@ -470,16 +480,19 @@ class TestRepeatedColumns:
                                      VARIANTS[variant])
             w = params.constants()
 
-            def summaries(grid):
-                out, source = _distinct_summaries(grid, w, kind)
+            def summaries(batch, norm):
+                # the untracked long branch: runs of the set under norm=0,
+                # every column of the grids under norm=1
+                ran.clear()
+                untracked_forward(batch, params, norm)
+                (out, source), = ran
                 return (out if source is None else out[source]).reshape(n, 8, d)
 
             for norm in (0, 1):
                 grid, _ = prepare_input(windows, norm, 8)
-                mixed, _ = prepare_input([windows[i] for i in order], norm, 8)
-                fast = summaries(grid)
+                fast = summaries(windows, norm)
                 every = np.empty_like(fast)
-                every[order] = summaries(mixed)
+                every[order] = summaries(windows[order], norm)
                 assert np.array_equal(fast, every), (d, n, norm)
                 one_pass = long_branch(ad.constant(grid), w, kind).data
                 assert np.array_equal(fast, one_pass.reshape(n, 8, d)), (d, n, norm)
@@ -532,6 +545,32 @@ class TestRepeatedColumns:
         assert columns_run(windows[:1], 0) == 8
         # two runs of consecutive windows: each starts with all its columns
         assert columns_run(windows[:20] + windows[25:], 0) == 2 * (8 - 1) + 35
+
+    @pytest.mark.parametrize("d,shared_patches", [(32, True), (64, True), (12, False)])
+    def test_patch_map_sees_each_distinct_patch_once(self, d, shared_patches, monkeypatch):
+        # a run of N windows holds N+(R-1)*P distinct patches; the map runs
+        # once per distinct patch only at widths a multiple of eight
+        rows_mapped = []
+        linear = ad.linear
+
+        def counting(x, w, b):
+            rows_mapped.append(x.shape[0])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(ad, "linear", counting)
+        params = TpgnParams.init(48, 16, 8, 4, d, np.random.default_rng(65),
+                                 VARIANTS["short"])
+        windows = consecutive_windows(70)
+        two_runs = windows[:30] + windows[35:]
+        untracked_forward(two_runs, params, 0)
+        # P=8, R=6: runs of 30 and 35 windows hold 70 and 75 patches
+        assert rows_mapped == [(30 + 40) + (35 + 40) if shared_patches else 65 * 6]
+        rows_mapped.clear()
+        untracked_forward(windows[:5], params, 0)  # 45 distinct patches > 30 rows
+        assert rows_mapped == [5 * 6]
+        rows_mapped.clear()
+        untracked_forward(two_runs, params, 1)  # each window z-scored apart
+        assert rows_mapped == [65 * 6]
 
     @pytest.mark.parametrize("n,l_h,norm", [
         (1500, 168, 0),  # 1,523 distinct of 36,000 columns
@@ -1033,3 +1072,35 @@ class TestSetAndList:
         targets = stack_targets(windows)
         assert targets.tobytes() == stack_targets(as_list).tobytes()
         assert not np.shares_memory(targets, windows.values)
+
+
+def grid_forward(windows, params, norm):
+    """The untracked forward over grids: every column and patch run."""
+    grid, stats = prepare_input(windows, norm, params.period)
+    return _forward_core(ad.constant(grid), stats, params.constants(), params).data
+
+
+class TestRunPath:
+    """Under norm=0 the untracked forward reads runs of consecutive windows
+    from the series; it gives the bytes of the grid path and of the tracked
+    forward, which run every column and patch."""
+
+    # one run, no run (every 7th window), a run from validation into test,
+    # and a run longer than a period, where patches are shared
+    INDEXES = [slice(40, 60), slice(0, 250, 7), slice(250, 270), slice(200, 330)]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_grid_path_and_tracked_forward(self, variant):
+        both = golden_val_test()
+        batches = [both[i] for i in self.INDEXES]
+        batches += [both[77:78], list(both[40:90])]  # one window, a list
+        for d in (1, 2, 4, 5, 8, 32):
+            for shared in (True, False):
+                params = TpgnParams.init(96, 48, 24, 4, d, np.random.default_rng(d),
+                                         VARIANTS[variant], head_shared=shared)
+                for k, windows in enumerate(batches):
+                    run = untracked_forward(windows, params, 0).tobytes()
+                    assert run == grid_forward(windows, params, 0).tobytes(), (d, shared, k)
+                    assert run == tracked_forward(windows, params, 0).tobytes(), (d, shared, k)
+                    assert (untracked_forward(windows, params, 1).tobytes()
+                            == tracked_forward(windows, params, 1).tobytes()), (d, shared, k)

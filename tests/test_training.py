@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tpgn import autodiff as ad
+from tpgn.data import windows_of
 from tpgn.errors import ConfigError, ContractError, DivergenceError
 from tpgn.model import VARIANTS, SeriesWindow, TpgnParams, tpgn_forward_batch
 from tpgn.training import (AdamState, Checkpoint, TrainConfig, adam_step,
@@ -206,6 +207,28 @@ class TestFit:
         after = params.named_arrays()
         assert len(after) == 14
         assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("field", ["values", "feats"])
+    def test_points_under_targets_only(self, field):
+        # the last point of the series is a target of the last window and
+        # under no history: a NaN value there fails fit before its first
+        # step, but not predict_windows; a NaN calendar row there is read by
+        # neither
+        cfg = tiny_config()
+        rng = np.random.default_rng(7)
+        arrays = {"values": rng.uniform(-1, 1, 40), "feats": rng.uniform(-0.5, 0.5, (40, 1))}
+        arrays[field][-1] = np.nan
+        windows = windows_of(arrays["values"], 8, 8, arrays["feats"])
+        params = tiny_params(cfg)
+        assert np.isfinite(predict_windows(params, windows, cfg.model_config())).all()
+        if field == "values":
+            before = {k: a.copy() for k, a in params.named_arrays().items()}
+            with pytest.raises(ContractError, match="targets contain NaN or Inf"):
+                fit(params, windows, windows[:4], cfg)
+            after = params.named_arrays()
+            assert all(np.array_equal(after[k], before[k]) for k in before)
+        else:
+            assert np.isfinite(fit(params, windows, windows[:4], cfg)[0].best_val_loss)
 
     def test_unequal_horizons_rejected(self):
         # the histories agree, so only the stacked targets can tell
