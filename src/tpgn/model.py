@@ -41,8 +41,11 @@ normalization stats), every column and patch, because anything else
 would sum each weight gradient in another order; the depth probe feeds
 it a tracked grid.  An untracked pass maps cache-sized blocks of windows
 through the head (:func:`_blocked_head`) without building the [B*P, 2d]
-joint array, and runs the long branch's independent column sequences in
-cache-sized blocks (:func:`autodiff.sequence_blocks`).  Under norm=1 it
+joint array, as the transposed product ``head_w @ joint.T`` where that
+keeps the bits (:func:`_head_product`), so each block lands in the
+[B, R_f, P] forecast layout and the forecasts are a reshape of it; it
+runs the long branch's independent column sequences in cache-sized
+blocks (:func:`autodiff.sequence_blocks`).  Under norm=1 it
 reads the grids and runs every column.  Under norm=0 it reads the series
 itself (:func:`_run_head`): windows whose starts are one apart form a
 run, and a run of N windows holds N+P-1 distinct column sequences (column
@@ -669,51 +672,84 @@ def _patch_summaries(patches: np.ndarray, index: np.ndarray | None,
     return ad.add(ad.collapse_rows(ad.constant(rows), w["col_w"], batch), w["col_b"]).data
 
 
+def _head_product(head_w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``head_w @ rows.T`` [.., R_f, n] for weights [.., R_f, K] and rows
+    [.., n, K], written into the flat buffer ``out``, with the bits of
+    ``rows @ head_w.T``.  OpenBLAS sums the two alike unless R_f >= 12 and n
+    is over 192 and not a multiple of eight, whatever K; there the direct
+    product runs and its transpose is returned (README, reproducibility).
+    """
+    r_f, n = head_w.shape[-2], rows.shape[-2]
+    if r_f < 12 or n <= 192 or n % 8 == 0:
+        return np.matmul(head_w, rows.swapaxes(-1, -2),
+                         out=out.reshape(*head_w.shape[:-2], r_f, n))
+    return np.matmul(rows, head_w.swapaxes(-1, -2),
+                     out=out.reshape(*rows.shape[:-1], r_f)).swapaxes(-1, -2)
+
+
 def _blocked_head(columns, patches, w: dict[str, Tensor], params: TpgnParams,
                   batch: int) -> np.ndarray:
-    """The untracked head's outputs [B, P, R_f], one block of windows at a time.
+    """The untracked head's outputs [B, R_f, P], one block of windows at a time.
 
     ``columns()`` gives the long branch's column sequences and each window
     column's sequence, ``patches()`` the short branch's patches and each
     window row's patch (:func:`_column_summaries`,
     :func:`_patch_summaries`); each is called only when its branch runs.
     Each block fills one reused [block*P, 2d] buffer, the left half from
-    the long summaries by index and the right half from each window's
-    global vector, and maps it with one GEMM, or with one stacked GEMM of
-    ``block`` rows per phase for the per-phase head.  The plan
-    (:func:`autodiff.sequence_blocks`) keeps every GEMM above the
-    small-matrix limit and never splits a GEMV (R_f = 1), so each row sums
-    as in one product over the whole batch.
+    the long summaries and the right half from each window's global
+    vector.  Where the block's windows form one run, their columns are the
+    run's consecutive summaries, so the left half is copied from a strided
+    [block, P, d] view of them; otherwise it is gathered by index.  The
+    block is mapped transposed (:func:`_head_product`), ``head_w @ joint.T``
+    with one GEMM, or for the per-phase head one stacked GEMM
+    [P, R_f, 2d] @ [P, 2d, block], with the bits of the tracked head's
+    ``joint @ head_w.T``, and copied into the [B, R_f, P] result, which
+    is the forecast layout.  The plan (:func:`autodiff.sequence_blocks`)
+    keeps every GEMM above the small-matrix limit and never splits a GEMV
+    (R_f = 1), so each output sums as in one product over the whole batch.
     """
     period, d, r_f = params.period, params.hidden, params.horizon_rows
     variant, head_w = params.variant, w["head_w"].data
     long_out = global_vec = None
     if variant.long_branch != "off":
         long_out, source = _column_summaries(*columns(), w, variant.long_branch)
+        # window q of a run reads summaries source[q*P] onwards, one apart
+        run_view = sliding_window_view(long_out, period, axis=0).transpose(0, 2, 1)
     if variant.short_branch:
         global_vec = _patch_summaries(*patches(), w, batch)
     gemm_outputs = period * r_f if params.head_shared else r_f  # per window
     blocks = ad.sequence_blocks(batch, period * 2 * d * 8, gemm_outputs, r_f)
-    buf = np.zeros((max(e - s for s, e in blocks) * period, 2 * d))
-    y = np.empty((batch, period, r_f))
+    most = max(e - s for s, e in blocks) * period
+    buf, product = np.zeros((most, 2 * d)), np.empty(most * r_f)
+    y = np.empty((batch, r_f, period))
     for s, e in blocks:
-        joint, cols = buf[:(e - s) * period], slice(s * period, e * period)
+        n = e - s
+        joint, cols = buf[:n * period], slice(s * period, e * period)
+        by_window = joint.reshape(n, period, 2 * d)
         if long_out is not None:
-            joint[:, :d] = long_out[cols if source is None else source[cols]]
+            if source is None:
+                joint[:, :d] = long_out[cols]
+            elif source[cols.stop - 1] - source[cols.start] == n + period - 2:  # one run
+                by_window[:, :, :d] = run_view[source[cols.start]:][:n]
+            else:
+                joint[:, :d] = long_out[source[cols]]
         if global_vec is not None:
-            joint.reshape(e - s, period, 2 * d)[:, :, d:] = global_vec[s:e, None]
-        if params.head_shared:
-            np.matmul(joint, head_w.T, out=y[s:e].reshape(-1, r_f))
-        else:
-            np.matmul(joint.reshape(e - s, period, 2 * d).transpose(1, 0, 2),
-                      head_w.transpose(0, 2, 1), out=y[s:e].transpose(1, 0, 2))
-    y += w["head_b"].data
+            by_window[:, :, d:] = global_vec[s:e, None]
+        out = product[:n * period * r_f]
+        if params.head_shared:  # [R_f, block*P]
+            mapped = _head_product(head_w, joint, out)
+            y[s:e] = mapped.reshape(r_f, n, period).transpose(1, 0, 2)
+        else:  # [P, R_f, block]
+            mapped = _head_product(head_w, by_window.transpose(1, 0, 2), out)
+            y[s:e] = mapped.transpose(2, 1, 0)
+    bias = w["head_b"].data
+    y += bias[:, None] if params.head_shared else bias.T
     return y
 
 
 def _run_head(windows: WindowSet, w: dict[str, Tensor], params: TpgnParams,
               ) -> np.ndarray:
-    """The untracked norm=0 head outputs [B, P, R_f], read from the set's
+    """The untracked norm=0 head outputs [B, R_f, P], read from the set's
     series: the points under the histories are gathered and checked once
     (:meth:`WindowSet.history_rows`), and each run of consecutive windows
     reads its distinct column sequences and patches from them as strided
@@ -744,10 +780,10 @@ def _forward_core(grid: Tensor, stats: NormStats | None,
     batch, rows, period, c = grid.shape
     if not (grid.tracked or any(t.tracked for t in w.values())):
         g = grid.data
-        y = _blocked_head(  # [B, P, R_f]
+        y = _blocked_head(  # [B, R_f, P]
             lambda: (g.transpose(0, 2, 1, 3).reshape(batch * period, rows, c), None),
             lambda: (g.reshape(batch * rows, period * c), None), w, params, batch)
-        return _forecasts(ad.constant(y.transpose(0, 2, 1)), stats)
+        return _forecasts(ad.constant(y), stats)
     zeros = ad.constant(np.zeros((batch * period, params.hidden)))
     variant = params.variant
     kind = variant.long_branch
@@ -797,8 +833,7 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
                           f"horizon) differ from the model's {want}")
     w = params.constants() if weights is None else weights
     if cfg.norm == 0 and not any(t.tracked for t in w.values()):
-        y = _run_head(windows, w, params)  # [B, P, R_f]
-        return _forecasts(ad.constant(y.transpose(0, 2, 1)), None)
+        return _forecasts(ad.constant(_run_head(windows, w, params)), None)
     grids, stats = prepare_input(windows, cfg.norm, cfg.period)
     return _forward_core(ad.constant(grids), stats, w, params)
 

@@ -47,8 +47,9 @@ __all__ = [
 CHECKPOINT_MAGIC = b"TPGN1"
 # windows per untracked forward during evaluation: bounds the gathered
 # history points, distinct columns and patches (or, under norm=1, the input
-# grids) and the short branch's rows; the long branch and the head run in
-# their own cache-sized blocks (model._blocked_head)
+# grids), the short branch's rows and the chunk's forecasts, which are
+# copied once into the result of a set of several chunks; the long branch
+# and the head run in their own cache-sized blocks (model._blocked_head)
 _EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -312,11 +313,13 @@ def predict_windows(params: TpgnParams, windows, mcfg: TpgnConfig) -> np.ndarray
     """Untracked batched predictions [N, L_f] in original units."""
     if not windows:
         raise ConfigError("prediction needs at least one window")
-    chunks = []
+    if len(windows) <= _EVAL_CHUNK:
+        return tpgn_forward_batch(windows, params, mcfg).data
+    preds = np.empty((len(windows), params.l_f))
     for lo in range(0, len(windows), _EVAL_CHUNK):
-        out = tpgn_forward_batch(windows[lo:lo + _EVAL_CHUNK], params, mcfg)
-        chunks.append(out.data)
-    return np.concatenate(chunks, axis=0)
+        preds[lo:lo + _EVAL_CHUNK] = tpgn_forward_batch(
+            windows[lo:lo + _EVAL_CHUNK], params, mcfg).data
+    return preds
 
 
 def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:

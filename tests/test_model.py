@@ -13,7 +13,7 @@ from tpgn.data import (SplitSpec, make_time_features, split_and_window,
                        synthetic_sinusoid, windows_of)
 from tpgn.errors import ConfigError, ContractError
 from tpgn.model import (SIGMA_FLOOR, VARIANTS, NormStats, SeriesWindow,
-                        TpgnConfig, TpgnParams, _forward_core,
+                        TpgnConfig, TpgnParams, _forward_core, _head_product,
                         finite_diff_all_params, flop_count, forecast_head,
                         long_branch, param_count, prepare_input, short_branch,
                         stack_grid, stack_targets, tpgn_forward, tpgn_forward_batch,
@@ -600,6 +600,12 @@ def tracked_forward(windows, params, norm):
                          params).data
 
 
+def at_widths(values):
+    """Each value at d_m 32, 1, 5 and 8, the first under the value's own id."""
+    return [pytest.param(v, d, id=str(v) if d == 32 else f"{v}-d{d}")
+            for v in values for d in (32, 1, 5, 8)]
+
+
 def head_plan(n, period=8, d=32, r_f=2, shared=True):
     """The window blocks of the untracked head: a shared GEMM has P*R_f
     outputs per window, each phase's GEMM R_f."""
@@ -643,11 +649,33 @@ class TestBlockedSharedHead:
             assert np.array_equal(untracked_forward(windows, params, norm),
                                   tracked_forward(windows, params, norm)), norm
 
-    @pytest.mark.parametrize("variant", ["full", "short"])
-    def test_one_output_column_matches_tracked_forward(self, variant):
+    @pytest.mark.parametrize("r_f,n", [(1, 601), (7, 6144), (11, 1500), (12, 192),
+                                       (12, 200), (12, 257), (30, 1500)])
+    def test_transposed_product_keeps_the_direct_bits(self, r_f, n):
+        # OpenBLAS sums head_w @ rows.T like rows @ head_w.T except at
+        # R_f >= 12 with over 192 rows not a multiple of eight (the last two)
+        rng = np.random.default_rng(n)
+        w, rows = rng.standard_normal((r_f, 64)), rng.standard_normal((n, 64))
+        assert np.array_equal(_head_product(w, rows, np.empty(r_f * n)), (rows @ w.T).T)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_long_horizon_at_odd_period_matches_tracked_forward(self, shared):
+        # P=5, R_f=12: one block of 300 windows, so 1500 rows (shared) or
+        # 300 per phase, the side of the rule where the direct product runs
+        assert head_plan(300, period=5, d=8, r_f=12, shared=shared) == [(0, 300)]
+        windows = consecutive_windows(300, l_h=20, l_f=60)
+        params = TpgnParams.init(20, 60, 5, 4, 8, np.random.default_rng(66),
+                                 VARIANTS["full"], head_shared=shared)
+        for norm in (0, 1):
+            assert np.array_equal(untracked_forward(windows, params, norm),
+                                  tracked_forward(windows, params, norm)), norm
+
+    @pytest.mark.parametrize("variant,d", at_widths(["full", "short"]))
+    def test_one_output_column_matches_tracked_forward(self, variant, d):
+        # the transposed head product is a GEMV too, and sums like the tracked one
         windows = consecutive_windows(600, l_f=8)
         for shared in (True, False):
-            params = TpgnParams.init(48, 8, 8, 4, 32, np.random.default_rng(63),
+            params = TpgnParams.init(48, 8, 8, 4, d, np.random.default_rng(63),
                                      VARIANTS[variant], head_shared=shared)
             assert params.horizon_rows == 1
             for norm in (0, 1):
@@ -687,12 +715,14 @@ class TestBlockedPerPhaseHead:
         assert plans == [want]
 
     @pytest.mark.parametrize("variant", ["full", "short", "gru"])
-    @pytest.mark.parametrize("n", [100, 257, 600])
-    def test_matches_tracked_forward(self, variant, n):
-        # at 48->96 (R_f = 12): one block, two of unequal size, and three
-        assert len(head_plan(n, r_f=12, shared=False)) == {100: 1, 257: 2, 600: 3}[n]
+    @pytest.mark.parametrize("n,d", at_widths([100, 257, 600]))
+    def test_matches_tracked_forward(self, variant, n, d):
+        # at 48->96 (R_f = 12), d_m=32: one block, two of unequal size, and
+        # three; the narrower models map every window in one block
+        blocks = {100: 1, 257: 2, 600: 3}[n] if d == 32 else 1
+        assert len(head_plan(n, d=d, r_f=12, shared=False)) == blocks
         windows = consecutive_windows(n, l_f=96)
-        params = TpgnParams.init(48, 96, 8, 4, 32, np.random.default_rng(n),
+        params = TpgnParams.init(48, 96, 8, 4, d, np.random.default_rng(n),
                                  VARIANTS[variant], head_shared=False)
         for norm in (0, 1):
             assert np.array_equal(untracked_forward(windows, params, norm),

@@ -2,13 +2,14 @@
 
 import hashlib
 import platform
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tpgn import autodiff as ad
-from tpgn.data import windows_of
+from tpgn.data import SplitSpec, split_and_window, synthetic_sinusoid, windows_of
 from tpgn.errors import ConfigError, ContractError, DivergenceError
 from tpgn.model import VARIANTS, SeriesWindow, TpgnParams, tpgn_forward_batch
 from tpgn.training import (AdamState, Checkpoint, TrainConfig, adam_step,
@@ -328,6 +329,26 @@ class TestEvaluate:
             evaluate(ckpt, [])
         with pytest.raises(ConfigError, match="at least one window"):
             predict_windows(tiny_params(cfg), [], cfg.model_config())
+
+    @pytest.mark.parametrize("variant", ["full", "short"])
+    def test_each_prediction_is_copied_once(self, variant):
+        # 7,426 validation and test windows at 96->192: an 11.4 MB result,
+        # many times what one 512-window chunk works in, so holding every
+        # chunk's forecasts beside the result would peak near twice it
+        _, val, test = split_and_window(synthetic_sinusoid(20000), SplitSpec(96, 192))
+        windows = val + test
+        cfg = TrainConfig(l_h=96, l_f=192, d_m=8, norm=0, variant=variant)
+        params = TpgnParams.init(96, 192, 24, windows.c_time, 8,
+                                 np.random.default_rng(3), VARIANTS[variant])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            preds = predict_windows(params, windows, cfg.model_config())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert preds.shape == (7426, 192)
+        assert peak < 1.5 * preds.nbytes, peak / preds.nbytes
 
 
 class TestCheckpoint:
