@@ -157,36 +157,43 @@ def load_csv(path, target_column: str, timestamp_column: str = "date") -> RawSer
     values are checked in that order, each over all rows.  A column of
     plain ``YYYY-MM-DD HH:MM:SS`` stamps, or of finite values, is parsed
     as one array; any other column is read row by row with the same result.
+    A file that is not UTF-8 text, or a row the ``csv`` module rejects
+    (a field over its size limit), is a DataError naming the path.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        for col in (timestamp_column, target_column):
-            if col not in header:
-                raise DataError(f"{path} has no column {col!r} (header: {header})")
-        t_idx = header.index(timestamp_column)
-        v_idx = header.index(target_column)
-        width = max(t_idx, v_idx)
-        # only the two columns are kept; blank lines (every cell whitespace)
-        # are skipped but keep their number
-        stamp_cells, value_cells, blank = [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                blank.append(row_no)
-            elif len(row) <= width:
-                raise DataError(f"row {row_no}: expected {len(header)} fields, "
-                                f"got {len(row)}")
-            else:
-                stamp_cells.append(row[t_idx])
-                value_cells.append(row[v_idx])
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path} is empty") from None
+            header = [h.strip() for h in header]
+            for col in (timestamp_column, target_column):
+                if col not in header:
+                    raise DataError(f"{path} has no column {col!r} (header: {header})")
+            t_idx = header.index(timestamp_column)
+            v_idx = header.index(target_column)
+            width = max(t_idx, v_idx)
+            # only the two columns are kept; blank lines (every cell whitespace)
+            # are skipped but keep their number
+            stamp_cells, value_cells, blank = [], [], []
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    blank.append(row_no)
+                elif len(row) <= width:
+                    raise DataError(f"row {row_no}: expected {len(header)} fields, "
+                                    f"got {len(row)}")
+                else:
+                    stamp_cells.append(row[t_idx])
+                    value_cells.append(row[v_idx])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} row {reader.line_num}: {exc}") from None
     n = len(stamp_cells)
     if not n:
         raise DataError(f"{path} has no data rows")

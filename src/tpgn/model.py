@@ -39,22 +39,27 @@ modes.  A tracked pass runs the taped branch and head functions over the
 grids of :func:`prepare_input` ([B, R, P, c] plus the batch's
 normalization stats), every column and patch, because anything else
 would sum each weight gradient in another order; the depth probe feeds
-it a tracked grid.  An untracked pass maps cache-sized blocks of windows
-through the head (:func:`_blocked_head`) without building the [B*P, 2d]
-joint array, as the transposed product ``head_w @ joint.T`` where that
-keeps the bits (:func:`_head_product`), so each block lands in the
-[B, R_f, P] forecast layout and the forecasts are a reshape of it; it
-runs the long branch's independent column sequences in cache-sized
-blocks (:func:`autodiff.sequence_blocks`).  Under norm=1 it
-reads the grids and runs every column.  Under norm=0 it reads the series
-itself (:func:`_run_head`): windows whose starts are one apart form a
-run, and a run of N windows holds N+P-1 distinct column sequences (column
-p of window i+1 is column p+1 of window i) and N+(R-1)*P distinct
-patches, which it reads as strided views of the history points gathered
-once, and runs once each where that keeps the bits.  No GEMM crosses
-OpenBLAS's small-matrix limit and no GEMV is split, so at the widths
-``TestWideModels`` pins the result is byte-equal to the tracked pass; at
-d_m=300 it is not (README, reproducibility).
+it a tracked grid.  An untracked pass (:func:`_untracked_head`) reads
+each window's column sequences and patches as strided views of history
+rows: under norm=1 the rows of the stacked grids, under norm=0 the
+set's series itself, where windows whose starts are one apart form a
+run, and a run of N windows holds N+P-1 distinct column sequences
+(column p of window i+1 is column p+1 of window i) and N+(R-1)*P
+distinct patches, run once each where that keeps the bits.  It runs the
+long branch's sequences and the patch map in cache-sized blocks
+(:func:`autodiff.sequence_blocks`), gathering only what a block runs,
+collapses shared patches over strided per-run views of their summaries,
+and maps blocks of windows through the head (:func:`_blocked_head`)
+without building the [B*P, 2d] joint array, as the transposed product
+``head_w @ joint.T`` where that keeps the bits (:func:`_head_product`),
+so each block lands in the [B, R_f, P] forecast layout and the
+forecasts are a reshape of it.  No GEMM crosses OpenBLAS's small-matrix
+limit and no GEMV is split, so at the widths ``TestWideModels`` pins the
+result is byte-equal to the tracked pass; at d_m=300 it is not (README,
+reproducibility).  :func:`tpgn_predict` runs a norm=0 set as one
+untracked pass, whatever its size, unless a product with one output
+column (d_m = 1 or R_f = 1) would then span the whole set, and a norm=1
+set one chunk of grids at a time.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ __all__ = [
     "forecast_head",
     "tpgn_forward",
     "tpgn_forward_batch",
+    "tpgn_predict",
     "param_count",
     "flop_count",
     "finite_diff_all_params",
@@ -606,70 +612,123 @@ def _forecasts(y3: Tensor, stats: NormStats | None) -> Tensor:
 # ---------------------------------------------------------------------------
 # the untracked pass: plain arrays, run in cache-sized blocks
 
-def _run_items(view: np.ndarray, first: np.ndarray, extra: int, offsets: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct items of runs of consecutive windows, and each window's.
+@dataclass
+class _Items:
+    """The column sequences or the patches of a window set, each a row of ``view``.
 
-    ``first`` is each window's first history row; windows whose rows are
-    one apart form a run.  A run of N windows holds N + ``extra`` distinct
-    items (column sequences for extra = P-1, patches for extra = (R-1)*P):
-    item j of a run from row s is ``view[s + j]``, and part k of window q
-    of the run is its item q + offsets[k].  Returns the items, runs in
-    order, and the item of every window part, window-major.
+    Owner k (one window, or a run of consecutive windows that share their
+    items) holds items ``starts[k]`` to ``starts[k+1] - 1``, at view rows
+    ``rows[k]``, ``rows[k] + step``, ...  Part j of window q (its column
+    or row j) is item ``base[q] + j*part``, and within an owner window
+    q+1's parts are window q's moved ``stride`` items on.  No array here
+    grows with the windows times their parts.
     """
-    breaks = np.flatnonzero(np.diff(first) != 1) + 1
-    if not len(breaks):  # one run
-        items, base = np.arange(first[0], first[0] + len(first) + extra), np.arange(len(first))
-    else:
-        sizes = np.diff(breaks, prepend=0, append=len(first)) + extra
-        starts = first[np.r_[0, breaks]] - (np.cumsum(sizes) - sizes)
-        items = np.repeat(starts, sizes) + np.arange(sizes.sum())
-        runs_before = np.searchsorted(breaks, np.arange(len(first)), side="right")
-        base = np.arange(len(first)) + runs_before * extra
-    return view[items], (base[:, None] + offsets).ravel()
+
+    view: np.ndarray    # [n_view, ...]
+    starts: np.ndarray  # [owners + 1], the last one the item count
+    rows: np.ndarray    # [owners]
+    step: int
+    base: np.ndarray    # [B]
+    stride: int
+    part: int
+    parts: int
+
+    @classmethod
+    def of(cls, view: np.ndarray, first: np.ndarray, breaks: np.ndarray, parts: int,
+           spacing: int, shared: bool) -> "_Items":
+        """The items of windows whose part j is view row ``first[q] + j*spacing``.
+
+        With ``shared``, each run of windows whose first rows are one apart
+        (split at ``breaks``) owns its distinct items, (parts-1)*spacing
+        more than it has windows, in order; otherwise each window owns its
+        parts, window-major.
+        """
+        b = len(first)
+        if not shared:
+            return cls(view, np.arange(b + 1) * parts, first, spacing,
+                       np.arange(b) * parts, parts, 1, parts)
+        extra = (parts - 1) * spacing
+        if not len(breaks):  # one run
+            return cls(view, np.array([0, b + extra]), first[:1], 1, np.arange(b), 1,
+                       spacing, parts)
+        opens = np.concatenate(([0], breaks))  # each run's first window
+        sizes = np.diff(opens, append=b) + extra
+        runs_before = np.searchsorted(breaks, np.arange(b), side="right")
+        return cls(view, np.concatenate(([0], np.cumsum(sizes))), first[opens], 1,
+                   np.arange(b) + runs_before * extra, 1, spacing, parts)
+
+    def __len__(self) -> int:
+        return int(self.starts[-1])
+
+    def data(self, s: int, e: int) -> np.ndarray:
+        """Items [s, e), gathered from the view into one new array."""
+        i = np.arange(s, e)
+        k = np.searchsorted(self.starts, i, side="right") - 1
+        return self.view[self.rows[k] + (i - self.starts[k]) * self.step]
+
+    def of_windows(self, values: np.ndarray, s: int, e: int) -> np.ndarray:
+        """The rows of ``values`` [len(self), d] that windows [s, e) read, as
+        [e-s, parts, d]: a strided view where the windows' first items are
+        evenly spaced (they lie in one owner), else gathered."""
+        n, first = e - s, self.base[s]
+        if self.base[e - 1] - first == (n - 1) * self.stride:
+            row, item = values.strides
+            return as_strided(values[first:], (n, self.parts, values.shape[1]),
+                              (self.stride * row, self.part * row, item), writeable=False)
+        return values[self.base[s:e, None] + np.arange(self.parts) * self.part]
 
 
-def _column_summaries(seqs: np.ndarray, source: np.ndarray | None,
-                      w: dict[str, Tensor], kind: str,
-                      ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Untracked: summaries [n, hidden] of the column sequences [n, R, c],
-    run in the cache-sized blocks of :func:`autodiff.sequence_blocks`, and
-    each window column's row among them (``source``; None when ``seqs``
-    holds every column, (b, p)-major).  Every column runs, gathered by
-    ``source``, when running only ``seqs`` would take the smallest GEMM
-    under OpenBLAS's small-matrix limit while every column would not, or
-    at hidden = 1, where the cell's GEMVs sum by row count.
-    """
+# a block of column sequences is planned from one [R, d] activation per
+# sequence, but the cells hold 2 to 7 times that (measured: pgn 5-7x, gru
+# and lstm 2-4x, mlp 2-2.5x); counting at least 2 KiB keeps a narrow model's
+# blocks to 512 sequences, whose work a one-pass prediction holds beside
+# its result
+_MIN_SEQUENCE_BYTES = 2048
+
+
+def _column_summaries(columns: _Items, w: dict[str, Tensor], kind: str) -> np.ndarray:
+    """Untracked: the summaries [n, hidden] of the column sequences, run in
+    the cache-sized blocks of :func:`autodiff.sequence_blocks`, each
+    block's sequences [block, R, c] gathered as it runs."""
     apply, cell_w = baselines.CELLS[kind].apply, _cell_keys(w, "cell.")
     d = next(iter(cell_w.values())).shape[0]  # every cell weight has d rows
-    if source is not None and (
-            d == 1 or ad.small_gemm(len(seqs) * d) != ad.small_gemm(len(source) * d)):
-        seqs, source = seqs[source], None
-    rows = seqs.shape[1]
-    out = np.empty((len(seqs), d))
-    for s, e in ad.sequence_blocks(len(seqs), rows * d * 8, d, d):
-        part = apply(ad.constant(seqs[s:e]), cell_w)
+    rows = columns.view.shape[1]
+    out = np.empty((len(columns), d))
+    item_bytes = max(rows * d * 8, _MIN_SEQUENCE_BYTES)
+    for s, e in ad.sequence_blocks(len(columns), item_bytes, d, d):
+        part = apply(ad.constant(columns.data(s, e)), cell_w)
         out[s:e] = ad.add(ad.collapse_rows(part, w["long_w"], e - s), w["long_b"]).data
-    return out, source
+    return out
 
 
-def _patch_summaries(patches: np.ndarray, index: np.ndarray | None,
-                     w: dict[str, Tensor], batch: int) -> np.ndarray:
-    """Untracked: each window's patch summary [B, hidden] from the patches
-    [n, P*c] and each window row's patch (``index``; None when ``patches``
-    holds every row, (b, r)-major).  The patch map runs once per distinct
-    patch only where that keeps the bits of mapping every row: hidden a
-    multiple of eight, fewer rows, and the GEMM on the same side of
-    OpenBLAS's small-matrix limit; otherwise it maps every row.
+def _patch_summaries(patches: _Items, w: dict[str, Tensor], batch: int) -> np.ndarray:
+    """Untracked: each window's patch summary [B, hidden].
+
+    Shared patches are mapped in blocks of distinct patches; each block of
+    windows then reads its R mapped patches (:meth:`_Items.of_windows`, a
+    strided view within a run) and collapses them with ``[1, R] @ [R, d]``
+    products, as :func:`autodiff.collapse_rows` sums them.  Unshared
+    patches are mapped and collapsed one block of windows at a time.  Both
+    block plans come from :func:`autodiff.sequence_blocks`.
     """
-    d = w["row_w"].shape[0]
-    if index is not None and not (
-            d % 8 == 0 and len(patches) < len(index)
-            and ad.small_gemm(len(patches) * d) == ad.small_gemm(len(index) * d)):
-        patches, index = patches[index], None
-    mapped = ad.linear(ad.constant(patches), w["row_w"], w["row_b"]).data
-    rows = mapped if index is None else mapped[index]  # [B*R, d]
-    return ad.add(ad.collapse_rows(ad.constant(rows), w["col_w"], batch), w["col_b"]).data
+    row_w, row_b = w["row_w"], w["row_b"]
+    d, k = row_w.shape
+    col_w, rows = w["col_w"].data.reshape(1, -1), patches.parts
+    shared = patches.stride == 1
+
+    def mapped(s: int, e: int) -> np.ndarray:  # patches [s, e) -> [e-s, d]
+        return ad.linear(ad.constant(patches.data(s, e)), row_w, row_b).data
+
+    if shared:
+        summaries = np.empty((len(patches), d))
+        for s, e in ad.sequence_blocks(len(patches), k * 8, d, d):
+            summaries[s:e] = mapped(s, e)
+    out = np.empty((batch, d))
+    for s, e in ad.sequence_blocks(batch, rows * k * 8, rows * d, d):
+        by_window = (patches.of_windows(summaries, s, e) if shared
+                     else mapped(s * rows, e * rows).reshape(e - s, rows, d))
+        out[s:e] = np.matmul(col_w, by_window).reshape(e - s, d) + w["col_b"].data
+    return out
 
 
 def _head_product(head_w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -687,52 +746,39 @@ def _head_product(head_w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.n
                      out=out.reshape(*rows.shape[:-1], r_f)).swapaxes(-1, -2)
 
 
-def _blocked_head(columns, patches, w: dict[str, Tensor], params: TpgnParams,
-                  batch: int) -> np.ndarray:
-    """The untracked head's outputs [B, R_f, P], one block of windows at a time.
+def _blocked_head(columns: _Items | None, long_out: np.ndarray | None,
+                  global_vec: np.ndarray | None, w: dict[str, Tensor],
+                  params: TpgnParams, y: np.ndarray) -> np.ndarray:
+    """The untracked head's outputs, written into ``y`` [B, R_f, P] one
+    block of windows at a time.
 
-    ``columns()`` gives the long branch's column sequences and each window
-    column's sequence, ``patches()`` the short branch's patches and each
-    window row's patch (:func:`_column_summaries`,
-    :func:`_patch_summaries`); each is called only when its branch runs.
-    Each block fills one reused [block*P, 2d] buffer, the left half from
-    the long summaries and the right half from each window's global
-    vector.  Where the block's windows form one run, their columns are the
-    run's consecutive summaries, so the left half is copied from a strided
-    [block, P, d] view of them; otherwise it is gathered by index.  The
-    block is mapped transposed (:func:`_head_product`), ``head_w @ joint.T``
-    with one GEMM, or for the per-phase head one stacked GEMM
-    [P, R_f, 2d] @ [P, 2d, block], with the bits of the tracked head's
-    ``joint @ head_w.T``, and copied into the [B, R_f, P] result, which
-    is the forecast layout.  The plan (:func:`autodiff.sequence_blocks`)
-    keeps every GEMM above the small-matrix limit and never splits a GEMV
-    (R_f = 1), so each output sums as in one product over the whole batch.
+    ``long_out`` holds the long branch's column summaries, the items of
+    ``columns``, and ``global_vec`` each window's short-branch vector [B, d];
+    either is None when its branch is off.  Each block fills one reused
+    [block*P, 2d] buffer, the left half from the summaries of its windows'
+    columns (a strided [block, P, d] view of them where the windows form
+    one run, :meth:`_Items.of_windows`) and the right half from each
+    window's global vector.  The block is mapped transposed
+    (:func:`_head_product`), ``head_w @ joint.T`` with one GEMM, or for the
+    per-phase head one stacked GEMM [P, R_f, 2d] @ [P, 2d, block], with the
+    bits of the tracked head's ``joint @ head_w.T``, and copied into the
+    [B, R_f, P] result, which is the forecast layout.  The plan
+    (:func:`autodiff.sequence_blocks`) keeps every GEMM above the
+    small-matrix limit and never splits a GEMV (R_f = 1), so each output
+    sums as in one product over the whole batch.
     """
     period, d, r_f = params.period, params.hidden, params.horizon_rows
-    variant, head_w = params.variant, w["head_w"].data
-    long_out = global_vec = None
-    if variant.long_branch != "off":
-        long_out, source = _column_summaries(*columns(), w, variant.long_branch)
-        # window q of a run reads summaries source[q*P] onwards, one apart
-        run_view = sliding_window_view(long_out, period, axis=0).transpose(0, 2, 1)
-    if variant.short_branch:
-        global_vec = _patch_summaries(*patches(), w, batch)
+    head_w, batch = w["head_w"].data, len(y)
     gemm_outputs = period * r_f if params.head_shared else r_f  # per window
     blocks = ad.sequence_blocks(batch, period * 2 * d * 8, gemm_outputs, r_f)
     most = max(e - s for s, e in blocks) * period
     buf, product = np.zeros((most, 2 * d)), np.empty(most * r_f)
-    y = np.empty((batch, r_f, period))
     for s, e in blocks:
         n = e - s
-        joint, cols = buf[:n * period], slice(s * period, e * period)
+        joint = buf[:n * period]
         by_window = joint.reshape(n, period, 2 * d)
         if long_out is not None:
-            if source is None:
-                joint[:, :d] = long_out[cols]
-            elif source[cols.stop - 1] - source[cols.start] == n + period - 2:  # one run
-                by_window[:, :, :d] = run_view[source[cols.start]:][:n]
-            else:
-                joint[:, :d] = long_out[source[cols]]
+            by_window[:, :, :d] = columns.of_windows(long_out, s, e)
         if global_vec is not None:
             by_window[:, :, d:] = global_vec[s:e, None]
         out = product[:n * period * r_f]
@@ -747,26 +793,55 @@ def _blocked_head(columns, patches, w: dict[str, Tensor], params: TpgnParams,
     return y
 
 
-def _run_head(windows: WindowSet, w: dict[str, Tensor], params: TpgnParams,
-              ) -> np.ndarray:
-    """The untracked norm=0 head outputs [B, R_f, P], read from the set's
-    series: the points under the histories are gathered and checked once
-    (:meth:`WindowSet.history_rows`), and each run of consecutive windows
-    reads its distinct column sequences and patches from them as strided
-    views (:func:`_run_items`)."""
-    block, first = windows.history_rows()
-    rows, period = params.rows, params.period
-    (n, c), (step, item) = block.shape, block.strides
-    # column p of window i is the sequence from row first[i] + p, row r the
-    # patch from row first[i] + r*P
-    seqs = as_strided(block, (n - (rows - 1) * period, rows, c),
-                      (step, period * step, item), writeable=False)
-    patches = as_strided(block, (n - period + 1, period * c), (step, item),
-                         writeable=False)
-    return _blocked_head(
-        lambda: _run_items(seqs, first, period - 1, np.arange(period)),
-        lambda: _run_items(patches, first, (rows - 1) * period, np.arange(rows) * period),
-        w, params, len(windows))
+def _untracked_head(points: np.ndarray, first: np.ndarray, w: dict[str, Tensor],
+                    params: TpgnParams) -> np.ndarray:
+    """The untracked head outputs [B, R_f, P] of windows whose histories are
+    the L_h rows [n, c] of ``points`` from row ``first[q]``: the checked
+    points under a set's histories (:meth:`WindowSet.history_rows`) or a
+    stack of grids, one window after another.
+
+    Column p of window q is the sequence from row first[q] + p, its row r
+    the patch from row first[q] + r*P, both read as strided views of
+    ``points``.  Windows whose first rows are one apart form a run, and a run
+    of N windows holds N+P-1 distinct column sequences (column p of window
+    q+1 is column p+1 of window q) and N+(R-1)*P distinct patches, which
+    run once each where that keeps the bits (:class:`_Items`).  Each block
+    of work gathers only the sequences and patches it runs.
+    """
+    n_points, c = points.shape
+    (step, item), batch = points.strides, len(first)
+    rows, period, d = params.rows, params.period, params.hidden
+    variant = params.variant
+    # the result first, before the pass's other arrays: on glibc's heap those
+    # are then freed above it and coalesce, so later allocations reuse the
+    # space (allocated last, it raised forecast_eval's peak RSS by about 5%)
+    y = np.empty((batch, params.horizon_rows, period))
+    breaks = np.flatnonzero(first[1:] - first[:-1] != 1) + 1
+    runs = len(breaks) + 1
+    columns = long_out = global_vec = None
+    if variant.long_branch != "off":
+        # distinct columns run alone unless that would take the smallest
+        # GEMM under OpenBLAS's small-matrix limit while every column would
+        # not, or at hidden = 1, where the cell's GEMVs sum by row count
+        distinct = batch + runs * (period - 1)
+        shared = d > 1 and (ad.small_gemm(distinct * d)
+                            == ad.small_gemm(batch * period * d))
+        seqs = as_strided(points, (n_points - (rows - 1) * period, rows, c),
+                          (step, period * step, item), writeable=False)
+        columns = _Items.of(seqs, first, breaks, period, 1, shared)
+        long_out = _column_summaries(columns, w, variant.long_branch)
+    if variant.short_branch:
+        # distinct patches are mapped alone only where that keeps the bits
+        # of mapping every row: hidden a multiple of eight, fewer rows, and
+        # the GEMM on the same side of the small-matrix limit
+        distinct = batch + runs * (rows - 1) * period
+        shared = d % 8 == 0 and distinct < batch * rows and (
+            ad.small_gemm(distinct * d) == ad.small_gemm(batch * rows * d))
+        patches = as_strided(points, (n_points - period + 1, period * c), (step, item),
+                             writeable=False)
+        global_vec = _patch_summaries(
+            _Items.of(patches, first, breaks, rows, period, shared), w, batch)
+    return _blocked_head(columns, long_out, global_vec, w, params, y)
 
 
 def _forward_core(grid: Tensor, stats: NormStats | None,
@@ -774,15 +849,13 @@ def _forward_core(grid: Tensor, stats: NormStats | None,
     """The model forward: grid [B, R, P, c] -> predictions [B, L_f].
 
     A tracked pass runs the branches and the head as taped ops over every
-    column; an untracked one runs :func:`_blocked_head` over every column
-    and patch.
+    column; an untracked one runs :func:`_untracked_head` over the grids'
+    rows, every column and patch.
     """
     batch, rows, period, c = grid.shape
     if not (grid.tracked or any(t.tracked for t in w.values())):
-        g = grid.data
-        y = _blocked_head(  # [B, R_f, P]
-            lambda: (g.transpose(0, 2, 1, 3).reshape(batch * period, rows, c), None),
-            lambda: (g.reshape(batch * rows, period * c), None), w, params, batch)
+        y = _untracked_head(grid.data.reshape(batch * rows * period, c),
+                            np.arange(batch) * rows * period, w, params)
         return _forecasts(ad.constant(y), stats)
     zeros = ad.constant(np.zeros((batch * period, params.hidden)))
     variant = params.variant
@@ -819,8 +892,8 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
     Pass ``weights = params.leaf_into(graph)`` to make the pass
     differentiable; by default everything stays plain numpy.  An untracked
     norm=0 pass reads the windows straight from their series
-    (:func:`_run_head`); any other pass runs on the grids of
-    :func:`prepare_input`.
+    (:func:`_untracked_head` over :meth:`WindowSet.history_rows`); any
+    other pass runs on the grids of :func:`prepare_input`.
     """
     _check_model(params, cfg)
     windows = as_window_set(windows)
@@ -833,9 +906,39 @@ def tpgn_forward_batch(windows, params: TpgnParams, cfg: TpgnConfig,
                           f"horizon) differ from the model's {want}")
     w = params.constants() if weights is None else weights
     if cfg.norm == 0 and not any(t.tracked for t in w.values()):
-        return _forecasts(ad.constant(_run_head(windows, w, params)), None)
+        points, first = windows.history_rows()
+        return _forecasts(ad.constant(_untracked_head(points, first, w, params)), None)
     grids, stats = prepare_input(windows, cfg.norm, cfg.period)
     return _forward_core(ad.constant(grids), stats, w, params)
+
+
+# windows per forward of an untracked prediction that cannot run as one
+# cache-blocked pass: under norm=1 it bounds the stacked [chunk, L_h, c]
+# grids, and where a product has one output column (d_m = 1 in the long
+# branch and the patch map, R_f = 1 in the head), which is never split
+# because OpenBLAS's GEMV sums by row count, it bounds that product's
+# operands.  Each chunk's forecasts are copied once into the result.
+_PREDICT_CHUNK = 512
+
+
+def tpgn_predict(windows, params: TpgnParams, cfg: TpgnConfig) -> np.ndarray:
+    """Untracked predictions [N, L_f] of a window set, in original units.
+
+    Under norm=0, with d_m and R_f above 1, one :func:`tpgn_forward_batch`
+    over the whole set, which blocks all its work by cache size, so each
+    prediction has the bits of the tracked forward over the same set at
+    the widths the README names.  Otherwise one forward per chunk of
+    ``_PREDICT_CHUNK`` windows.
+    """
+    windows = as_window_set(windows)
+    one_pass = cfg.norm == 0 and params.hidden > 1 and params.horizon_rows > 1
+    if one_pass or len(windows) <= _PREDICT_CHUNK:
+        return tpgn_forward_batch(windows, params, cfg).data
+    preds = np.empty((len(windows), params.l_f))
+    for lo in range(0, len(windows), _PREDICT_CHUNK):
+        preds[lo:lo + _PREDICT_CHUNK] = tpgn_forward_batch(
+            windows[lo:lo + _PREDICT_CHUNK], params, cfg).data
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +961,7 @@ class FlopCount:
     These are the nominal dense counts for one window, every column through
     the cell.  An untracked norm=0 batch of consecutive windows runs each
     shared column, and at some widths each shared patch, once
-    (:func:`_run_head`), so it executes fewer branch MACs than the batch
+    (:func:`_untracked_head`), so it executes fewer branch MACs than the batch
     size times ``long_branch`` and ``short_branch``.
     """
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DivergenceError
 from .model import (VARIANTS, TpgnConfig, TpgnParams, as_window_set, stack_targets,
-                    tpgn_forward_batch)
+                    tpgn_forward_batch, tpgn_predict)
 
 __all__ = [
     "TrainConfig",
@@ -45,12 +45,6 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TPGN1"
-# windows per untracked forward during evaluation: bounds the gathered
-# history points, distinct columns and patches (or, under norm=1, the input
-# grids), the short branch's rows and the chunk's forecasts, which are
-# copied once into the result of a set of several chunks; the long branch
-# and the head run in their own cache-sized blocks (model._blocked_head)
-_EVAL_CHUNK = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -195,14 +189,18 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint; a truncated or corrupt file raises ConfigError.
+        """Read a checkpoint; an unreadable, truncated or corrupt file raises
+        ConfigError.
 
         Every declared length is checked against the bytes left in the file
         before it is used, so a corrupt size never drives a read or an
         allocation.
         """
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
         magic = raw[:len(CHECKPOINT_MAGIC)]
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic {magic!r})")
@@ -310,16 +308,11 @@ def write_epoch_log(path, records: list[EpochRecord]) -> None:
 
 
 def predict_windows(params: TpgnParams, windows, mcfg: TpgnConfig) -> np.ndarray:
-    """Untracked batched predictions [N, L_f] in original units."""
+    """Untracked batched predictions [N, L_f] in original units
+    (:func:`model.tpgn_predict`: one forward over a norm=0 set)."""
     if not windows:
         raise ConfigError("prediction needs at least one window")
-    if len(windows) <= _EVAL_CHUNK:
-        return tpgn_forward_batch(windows, params, mcfg).data
-    preds = np.empty((len(windows), params.l_f))
-    for lo in range(0, len(windows), _EVAL_CHUNK):
-        preds[lo:lo + _EVAL_CHUNK] = tpgn_forward_batch(
-            windows[lo:lo + _EVAL_CHUNK], params, mcfg).data
-    return preds
+    return tpgn_predict(windows, params, mcfg)
 
 
 def _dataset_mse(params: TpgnParams, windows, mcfg: TpgnConfig) -> float:

@@ -317,6 +317,14 @@ class TestEval:
         assert code == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys):
+        # a missing file, and a directory
+        for path in (tmp_path / "nonexistent.tpgn", tmp_path):
+            code = main(["eval", "--checkpoint", str(path), "--data", "x.csv",
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"cannot read checkpoint {path}" in capsys.readouterr().err
+
     def test_corrupt_well_formed_checkpoint_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.tpgn"
         Checkpoint(tensors={"w": np.arange(4.0)}, config={"l_h": "48"},
@@ -339,6 +347,19 @@ def _rewrite_checkpoint(path, tensors=None, drop=(), **echo):
         del ckpt.config[key]
     ckpt.config.update(echo)
     ckpt.save(path)
+
+
+class TestUnreadableCsv:
+    @pytest.mark.parametrize("content", [
+        b"date,value\n2020-01-01 00:00:00,1\xff\n",
+        b'date,value\n2020-01-01 00:00:00,"' + b"1" * 131073 + b'"\n',
+    ], ids=["undecodable-byte", "oversized-field"])
+    def test_train_exits_3(self, tmp_path, content, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        assert main(["train", "--data", str(data), "--target", "value",
+                     "--out", str(tmp_path / "run"), *FAST]) == 3
+        assert "bad.csv" in capsys.readouterr().err
 
 
 class TestBadCheckpointEcho:

@@ -69,6 +69,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no-such-file.csv"):
             load_csv("no-such-file.csv", "v")
 
+    def test_undecodable_byte(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"date,v\n2021-01-01 00:00:00,1\xff\n")
+        with pytest.raises(DataError, match="bad.csv is not UTF-8 text"):
+            load_csv(p, "v")
+
+    def test_field_over_the_csv_size_limit_is_located(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text('date,v\n2021-01-01 00:00:00,1\n2021-01-01 01:00:00,"'
+                     + "9" * 131073 + '"\n')
+        with pytest.raises(DataError, match="big.csv row 3: field larger"):
+            load_csv(p, "v")
+
     def test_empty_cells_become_missing(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("date,v\n"

@@ -468,9 +468,11 @@ class TestRepeatedColumns:
         variant = "full" if kind == "pgn" else kind
         column_summaries, ran = tpgn_model._column_summaries, []
 
-        def recording(*args):
-            ran.append(column_summaries(*args))
-            return ran[-1]
+        def recording(columns, *args):
+            # each window's column summaries, as the head reads them
+            out = column_summaries(columns, *args)
+            ran.append(columns.of_windows(out, 0, len(columns.base)))
+            return out
 
         monkeypatch.setattr(tpgn_model, "_column_summaries", recording)
         for d, n in self.CASES:
@@ -485,8 +487,8 @@ class TestRepeatedColumns:
                 # every column of the grids under norm=1
                 ran.clear()
                 untracked_forward(batch, params, norm)
-                (out, source), = ran
-                return (out if source is None else out[source]).reshape(n, 8, d)
+                (per_window,) = ran
+                return per_window
 
             for norm in (0, 1):
                 grid, _ = prepare_input(windows, norm, 8)
@@ -712,7 +714,12 @@ class TestBlockedPerPhaseHead:
         params = TpgnParams.init(48, 96, 8, 4, 32, np.random.default_rng(64),
                                  VARIANTS["short"], head_shared=shared)
         untracked_forward(consecutive_windows(600, l_f=96), params, 0)
-        assert plans == [want]
+        # the short branch plans first: its 640 distinct patches [P*c = 40]
+        # through the map, then the 600 windows' collapse of R = 6 each
+        patch_plans = [sequence_blocks(640, 40 * 8, 32, 32),
+                       sequence_blocks(600, 6 * 40 * 8, 6 * 32, 32)]
+        assert patch_plans == [[(0, 640)], [(0, 300), (300, 600)]]
+        assert plans == [*patch_plans, want]
 
     @pytest.mark.parametrize("variant", ["full", "short", "gru"])
     @pytest.mark.parametrize("n,d", at_widths([100, 257, 600]))
@@ -1045,7 +1052,8 @@ class TestGoldenStep:
 
 def golden_val_test():
     """Validation plus test windows of a fixed series: 257 + 257 at 96->48,
-    so ``predict_windows`` runs one full 512-window chunk and one of two."""
+    one forward under norm=0; under norm=1 ``predict_windows`` stacks one
+    full 512-window chunk of grids and one of two."""
     series = synthetic_sinusoid(2000, noise=0.05, seed=26)
     _, val_w, test_w = split_and_window(series, SplitSpec(l_h=96, l_f=48))
     return val_w + test_w
@@ -1064,11 +1072,11 @@ class TestGoldenPredictions:
     as in CI)."""
 
     GOLDEN = {
-        ("full", 0): "41f7f5db987303bb96113805768d50a0a7cf86d16ae1c44c5cca6c26be067b26",
+        ("full", 0): "ce3820a7dab86b8e3258fb52f25c8d41ee42a8e19ad9a27aac1e94275ead924e",
         ("full", 1): "3aef9ddff7f9bcaf29129f2787be535f936f07951320744685cb07277e20888c",
-        ("gru", 0): "303e1945412e216507b0ab32c4a4e7a247b047f200e9c4990e532c5e0ee96bbc",
+        ("gru", 0): "99da0415f8925af836522f9ff7b94d04a1de6c6d1d922aea283f47ca1b4a41af",
         ("gru", 1): "da9cb48acc5ef2e61dcd41dc10459a29beee8989daa6e1f448bdbf386e650236",
-        ("short", 0): "b30a51bdcb5dc6c6a8168e9ed620279de88af45e39ee982d82be960347a61f60",
+        ("short", 0): "60b8be2d032661719a1f7ff668a249445fc49a880aa1ad3afa62f501f4b8ead3",
         ("short", 1): "65e89c17d2b1857502e78c31c1b3e6b893d14c630c3eacce1213de3e788795bc",
     }
 
@@ -1078,6 +1086,86 @@ class TestGoldenPredictions:
         preds = predict_windows(params, golden_val_test(), cfg)
         assert preds.shape == (514, 48)
         assert hashlib.sha256(preds.tobytes()).hexdigest() == self.GOLDEN[variant, norm]
+
+
+class TestPredictionsMatchTrackedForward:
+    """Under norm=0 ``predict_windows`` is one forward over the whole set, so
+    a set a few windows longer than 512 has no small tail run apart: its
+    predictions are the bytes of the tracked forward over the same set."""
+
+    @pytest.mark.parametrize("variant", ["full", "gru", "short"])
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    def test_sets_of_513_to_530_windows(self, variant, d):
+        series = synthetic_sinusoid(2000, noise=0.05, seed=26)
+        train, _, _ = split_and_window(series, SplitSpec(l_h=96, l_f=48))
+        cfg = TpgnConfig(norm=0, period=24, variant=VARIANTS[variant])
+        for shared in (True, False):
+            params = TpgnParams.init(96, 48, 24, 4, d, np.random.default_rng(d),
+                                     VARIANTS[variant], head_shared=shared)
+            for n in range(513, 531):  # tails of 1 to 18 past 512
+                windows = train[:n]
+                g = ad.Graph()
+                tracked = tpgn_forward_batch(windows, params, cfg, params.leaf_into(g))
+                assert (predict_windows(params, windows, cfg).tobytes()
+                        == tracked.data.tobytes()), (shared, n)
+
+    @pytest.mark.parametrize("norm,d,l_f,chunked", [
+        (0, 8, 48, False),  # one pass
+        (1, 8, 48, True),  # stacked grids
+        (0, 1, 48, True),  # the long branch's GEMVs
+        (0, 8, 24, True),  # the head's GEMV (R_f = 1)
+    ])
+    def test_chunks_only_grids_and_one_column_products(self, norm, d, l_f, chunked,
+                                                       monkeypatch):
+        sizes, forward = [], tpgn_forward_batch
+
+        def recording(windows, *args):
+            sizes.append(len(windows))
+            return forward(windows, *args)
+
+        monkeypatch.setattr(tpgn_model, "tpgn_forward_batch", recording)
+        windows = consecutive_windows(1030, l_h=96, l_f=l_f)
+        params = TpgnParams.init(96, l_f, 24, 4, d, np.random.default_rng(d),
+                                 VARIANTS["full"])
+        cfg = TpgnConfig(norm=norm, period=24, variant=VARIANTS["full"])
+        assert predict_windows(params, windows, cfg).shape == (1030, l_f)
+        assert sizes == ([512, 512, 6] if chunked else [1030])
+
+
+class TestStridedPatchCollapse:
+    """Shared patches are collapsed by ``[1, R] @ [R, d]`` products over
+    strided per-run views of the distinct patch summaries; at the widths
+    where patches are shared, multiples of eight, that has the bytes of the
+    collapse over the gathered [B*R, d] rows."""
+
+    # first history rows of each window: one run, runs with breaks, and
+    # index sets (every third window, a sorted random subset)
+    SETS = {"run": np.arange(40), "breaks": np.r_[0:15, 20:45, 47:50],
+            "every-third": np.arange(0, 24, 3),
+            "subset": np.sort(np.random.default_rng(5).choice(50, 40, replace=False))}
+
+    @pytest.mark.parametrize("d", [8, 16, 24, 32, 64, 128])
+    @pytest.mark.parametrize("period", [8, 24])
+    def test_matches_gathered_collapse(self, d, period):
+        rng = np.random.default_rng(d + period)
+        c = 5
+        w = {"row_w": ad.constant(rng.uniform(-0.3, 0.3, (d, period * c))),
+             "row_b": ad.constant(rng.uniform(-0.1, 0.1, d)),
+             "col_b": ad.constant(np.array(0.05))}
+        for rows in range(2, 61):
+            w["col_w"] = ad.constant(rng.uniform(-0.5, 0.5, rows))
+            for name, first in self.SETS.items():
+                points = rng.uniform(-1, 1, (first[-1] + rows * period, c))
+                view = np.lib.stride_tricks.as_strided(
+                    points, (len(points) - period + 1, period * c), points.strides)
+                breaks = np.flatnonzero(np.diff(first) != 1) + 1
+                patches = tpgn_model._Items.of(view, first, breaks, rows, period, True)
+                mapped = ad.linear(patches.data(0, len(patches)), w["row_w"], w["row_b"])
+                index = patches.base[:, None] + np.arange(rows) * period
+                gathered = ad.add(ad.collapse_rows(mapped.data[index.ravel()], w["col_w"],
+                                                   len(first)), w["col_b"]).data
+                strided = tpgn_model._patch_summaries(patches, w, len(first))
+                assert strided.tobytes() == gathered.tobytes(), (rows, name)
 
 
 class TestSetAndList:
